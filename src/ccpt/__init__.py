@@ -37,12 +37,9 @@ from .transform import (
     PeriodStrengthProfile,
     basis_block,
     build_ccpt_matrix,
-    ccpt_forward,
-    ccpt_inverse,
     divisor_strengths,
     estimate_period,
     frequency_labels,
-    significant_periods,
 )
 from .baselines import (
     ComplexityReport,
@@ -53,7 +50,6 @@ from .baselines import (
     dft_divisor_strengths,
     idft,
     ramanujan_sum,
-    rpt_forward,
 )
 from .estimation import (
     DictionaryModel,

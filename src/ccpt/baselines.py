@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import divisors, period_partition, totient
-from .transform import BasisBlock, CoefficientVector, NestedPeriodicMatrix, PeriodStrengthProfile, _tile
+from .transform import BasisBlock, NestedPeriodicMatrix, PeriodStrengthProfile, _shifted_tilings
 
 IMAG_RESIDUE_TOL = 1e-9
 
@@ -39,24 +39,25 @@ def ramanujan_sum(q: int) -> RamanujanSum:
     return RamanujanSum(period=q, samples=np.rint(values.real).astype(int))
 
 
+def _rpt_columns(n: int, p: int) -> tuple[tuple, np.ndarray]:
+    """Labels (None, shift) and the tiled Ramanujan columns of period p >= 1."""
+    base = ramanujan_sum(p).samples.astype(float)
+    width = totient(p)
+    table = np.broadcast_to(base[:, None], (p, width))
+    return tuple((None, l) for l in range(width)), _shifted_tilings(table, range(width), n)
+
+
 def ramanujan_block(n: int, p: int) -> BasisBlock:
     """Period-p block: tilings of the Ramanujan sequence shifted l = 0..phi(p)-1."""
     if n % p != 0:
         raise ValueError(f"period {p} does not divide length {n}")
-    base = ramanujan_sum(p).samples.astype(float)
-    width = totient(p)
-    cols = [_tile(np.roll(base, l), n) for l in range(width)]
-    labels = tuple((None, l) for l in range(width))
-    return BasisBlock(length=n, period=p, labels=labels, matrix=np.column_stack(cols))
+    labels, matrix = _rpt_columns(n, p)
+    return BasisBlock(length=n, period=p, labels=labels, matrix=matrix)
 
 
 def build_rpt_matrix(n: int) -> NestedPeriodicMatrix:
     """Ramanujan analogue of the cosine-pair synthesis matrix."""
     return NestedPeriodicMatrix([ramanujan_block(n, p) for p in divisors(n)], kind="rpt")
-
-
-def rpt_forward(x, matrix: NestedPeriodicMatrix) -> CoefficientVector:
-    return matrix.forward(x)
 
 
 def dft(x) -> np.ndarray:

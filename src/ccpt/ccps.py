@@ -44,9 +44,9 @@ def _check_index(n: int, k: int) -> None:
         )
 
 
-def _samples(n: int, k: int, shift: int = 0) -> np.ndarray:
-    idx = np.arange(n) - shift
-    return 2.0 * scale_factor(n) * np.cos(2.0 * np.pi * k * idx / n)
+def _samples(n: int, k) -> np.ndarray:
+    """One period of c(n) for index k, or one row per index when k is an array."""
+    return 2.0 * scale_factor(n) * np.cos(np.multiply.outer(2.0 * np.pi * k, np.arange(n)) / n)
 
 
 @dataclass(frozen=True)

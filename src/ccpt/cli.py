@@ -26,16 +26,37 @@ SCHEMA = "ccpt-report/1"
 SIGNAL_SCHEMA = "ccpt-signal/1"
 
 
+def _fraction(text: str) -> float:
+    """A significance threshold: a finite number in (0, 1]."""
+    try:
+        value = float(text)
+        if 0.0 < value <= 1.0:  # false for nan
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number in (0, 1], got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
 def _threshold(args) -> float:
     if args.threshold is not None:
         return args.threshold
     env = os.environ.get("CCPT_THRESHOLD")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ValueError(f"CCPT_THRESHOLD={env!r} is not a number") from exc
-    return transform.DEFAULT_THRESHOLD
+    if env is None:
+        return transform.DEFAULT_THRESHOLD
+    try:
+        return _fraction(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"CCPT_THRESHOLD {exc}") from None
 
 
 def _profile_dict(profile: transform.PeriodStrengthProfile) -> dict:
@@ -93,6 +114,11 @@ class AnalysisReport:
             ),
         }
         return doc
+
+
+def _dump_strengths(path, profile: transform.PeriodStrengthProfile) -> None:
+    prof = _profile_dict(profile)
+    sigio.write_matrix_csv(path, np.column_stack([prof["periods"], prof["raw"], prof["fraction"]]))
 
 
 def _input_meta(path, x: np.ndarray) -> dict:
@@ -194,9 +220,7 @@ def cmd_analyze(args) -> int:
         rows = np.column_stack([np.arange(len(magnitudes)), magnitudes])
         sigio.write_matrix_csv(args.dump_coefficients, rows)
     if args.dump_strengths:
-        prof = _profile_dict(profile)
-        rows = np.column_stack([prof["periods"], prof["raw"], prof["fraction"]])
-        sigio.write_matrix_csv(args.dump_strengths, rows)
+        _dump_strengths(args.dump_strengths, profile)
     _emit(args, report.as_dict())
     if status != "ok":
         print(f"error: {status}", file=sys.stderr)
@@ -301,9 +325,7 @@ def cmd_dict(args) -> int:
         "runtime_seconds": elapsed,
     }
     if args.dump_strengths:
-        prof = _profile_dict(profile)
-        rows = np.column_stack([prof["periods"], prof["raw"], prof["fraction"]])
-        sigio.write_matrix_csv(args.dump_strengths, rows)
+        _dump_strengths(args.dump_strengths, profile)
     _emit(args, doc)
     if status != "ok":
         print(f"error: {status}", file=sys.stderr)
@@ -436,7 +458,7 @@ def _emit(args, doc: dict) -> None:
 def _add_threshold(p) -> None:
     p.add_argument(
         "--threshold",
-        type=float,
+        type=_fraction,
         default=None,
         help="significance threshold as a fraction of the peak block strength "
         "(default 0.05, or CCPT_THRESHOLD)",
@@ -472,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--n1", type=int, required=True, help="smallest truncation length")
     _add_threshold(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for scan lengths")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker threads for scan lengths")
     p.add_argument("--csv", metavar="CSV", help="also write length,detected rows")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_scan)

@@ -19,26 +19,25 @@ the literal inverse.
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import gcd
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .ccps import ccps
+from .baselines import _rpt_columns
 from .errors import NumericalError
-from .numtheory import coprime_half_set, totient
 from .transform import (
+    CONDITION_LIMIT,
     DEFAULT_THRESHOLD,
     PeriodStrengthProfile,
-    _tile,
+    _ccpt_columns,
     build_ccpt_matrix,
     divisor_strengths,
 )
-from .baselines import ramanujan_sum
 
 RIDGE_LAMBDA = 1e-10
-CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -122,28 +121,13 @@ class DictionaryModel:
         return self.matrix.shape[1]
 
 
-def _ccpt_columns(n: int, p: int):
-    for k in coprime_half_set(p):
-        samples = ccps(p, k).samples
-        shifts = (0,) if p <= 2 else (0, 1)
-        for l in shifts:
-            yield (k, l), _tile(np.roll(samples, l), n)
+def _farey_columns(n: int, p: int) -> tuple[tuple, np.ndarray]:
+    """Labels (k, 0) and the exponentials e^{j2*pi*k*i/p} with gcd(k, p) = 1, 0 <= k < p."""
+    ks = [k for k in range(p) if gcd(k, p) == 1]
+    return tuple((k, 0) for k in ks), np.exp(2j * np.pi * np.array(ks) * np.arange(n)[:, None] / p)
 
 
-def _farey_columns(n: int, p: int):
-    idx = np.arange(n)
-    for k in range(p):
-        if gcd(k, p) == 1:
-            yield (k, 0), np.exp(2j * np.pi * k * idx / p)
-
-
-def _rpt_columns(n: int, p: int):
-    base = ramanujan_sum(p).samples.astype(float)
-    for l in range(totient(p)):
-        yield (None, l), _tile(np.roll(base, l), n)
-
-
-_COLUMN_BUILDERS = {"ccpt": _ccpt_columns, "farey": _farey_columns, "rpt": _rpt_columns}
+_BLOCK_BUILDERS = {"ccpt": _ccpt_columns, "farey": _farey_columns, "rpt": _rpt_columns}
 
 
 def build_dictionary(
@@ -160,26 +144,15 @@ def build_dictionary(
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    if basis not in _COLUMN_BUILDERS:
+    if basis not in _BLOCK_BUILDERS:
         raise ValueError(f"unknown dictionary basis {basis!r}")
     if penalty is None:
         penalty = lambda p: float(p * p)
-    build_columns = _COLUMN_BUILDERS[basis]
-
-    cols, periods, pens, labels = [], [], [], []
-    spans: dict[int, slice] = {}
-    start = 0
-    for p in range(1, p_max + 1):
-        width = 0
-        for label, col in build_columns(n, p):
-            cols.append(col)
-            labels.append((p, *label))
-            width += 1
-        spans[p] = slice(start, start + width)
-        periods.extend([p] * width)
-        pens.extend([float(penalty(p))] * width)
-        start += width
-    matrix = np.column_stack(cols)
+    periods = range(1, p_max + 1)
+    block_labels, blocks = zip(*(_BLOCK_BUILDERS[basis](n, p) for p in periods))
+    widths = [block.shape[1] for block in blocks]
+    starts = list(accumulate(widths, initial=0))
+    matrix = np.concatenate(blocks, axis=1)
     if matrix.shape[1] < n:
         warnings.warn(
             f"dictionary has only {matrix.shape[1]} columns for length {n}; "
@@ -191,10 +164,10 @@ def build_dictionary(
         p_max=p_max,
         basis=basis,
         matrix=matrix,
-        column_periods=np.array(periods),
-        penalties=np.array(pens),
-        spans=spans,
-        labels=tuple(labels),
+        column_periods=np.repeat(periods, widths),
+        penalties=np.repeat([float(penalty(p)) for p in periods], widths),
+        spans={p: slice(a, b) for p, a, b in zip(periods, starts, starts[1:])},
+        labels=tuple((p, *label) for p, labels in zip(periods, block_labels) for label in labels),
     )
 
 
@@ -215,13 +188,37 @@ def _solve_spd(factor, rhs: np.ndarray, matrix_is_real: bool) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, rhs)
 
 
+def _factor_with_ridge(gram: np.ndarray):
+    """Cholesky factor of the SPD system, with the ridge fallback.
+
+    A ridge of RIDGE_LAMBDA * trace(G)/n is added when the condition
+    estimate of G exceeds CONDITION_LIMIT or G fails to factor. Returns the
+    factor, the system it factors, the condition estimate and the ridge.
+    """
+    cond = float(np.linalg.cond(gram))
+    if np.isfinite(cond) and cond <= CONDITION_LIMIT:
+        try:
+            return scipy.linalg.cho_factor(gram), gram, cond, 0.0
+        except np.linalg.LinAlgError:
+            pass
+    n = gram.shape[0]
+    ridge = RIDGE_LAMBDA * float(np.real(np.trace(gram))) / n
+    gram = gram + ridge * np.eye(n)
+    try:
+        return scipy.linalg.cho_factor(gram), gram, cond, ridge
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"dictionary system singular beyond ridge recovery (condition estimate {cond:.3e})"
+        ) from exc
+
+
 def dictionary_solve(model: DictionaryModel, x) -> DictionarySolution:
     """Exact-fit coefficients biased against large periods.
 
     Stages the closed form as one SPD solve: G y = x with
     G = A D^-2 A^H, then b = D^-2 A^H y. If the condition estimate of G
-    exceeds the limit, a ridge of RIDGE_LAMBDA * trace(G)/n is added and
-    reported on the solution.
+    exceeds the limit or G fails to factor, a ridge of RIDGE_LAMBDA *
+    trace(G)/n is added and reported on the solution.
     """
     x = np.asarray(x)
     if x.shape != (model.n,):
@@ -231,29 +228,7 @@ def dictionary_solve(model: DictionaryModel, x) -> DictionarySolution:
     weighted = a * model.penalties**-2.0
     gram = weighted @ a.conj().T
     gram = (gram + gram.conj().T) / 2.0
-    cond = float(np.linalg.cond(gram))
-    ridge = 0.0
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        ridge = RIDGE_LAMBDA * float(np.real(np.trace(gram))) / model.n
-        gram = gram + ridge * np.eye(model.n)
-    try:
-        factor = scipy.linalg.cho_factor(gram)
-    except np.linalg.LinAlgError:
-        if ridge == 0.0:
-            ridge = RIDGE_LAMBDA * float(np.real(np.trace(gram))) / model.n
-            gram = gram + ridge * np.eye(model.n)
-            try:
-                factor = scipy.linalg.cho_factor(gram)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"dictionary system singular beyond ridge recovery "
-                    f"(condition estimate {cond:.3e})"
-                ) from exc
-        else:
-            raise NumericalError(
-                f"dictionary system singular beyond ridge recovery "
-                f"(condition estimate {cond:.3e})"
-            )
+    factor, gram, cond, ridge = _factor_with_ridge(gram)
     y = _solve_spd(factor, x, real_system)
     # one refinement pass keeps the exact-fit residual near machine level
     y = y + _solve_spd(factor, x - gram @ y, real_system)

@@ -8,6 +8,7 @@ space indent) so serializing a parsed report reproduces the bytes.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,11 @@ FLOAT_FMT = "%.17g"
 
 
 def read_signal(path) -> np.ndarray:
-    """Load a CSV signal; returns float64 for 1 column, complex128 for 2."""
+    """Load a CSV signal; returns float64 for 1 column, complex128 for 2.
+
+    Unreadable files, malformed rows and non-finite samples raise
+    SignalIoError naming the file and, for a row, its line number.
+    """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -42,9 +47,12 @@ def read_signal(path) -> np.ndarray:
                 f"{path}:{lineno}: ragged row has {len(parts)} columns, expected {width}"
             )
         try:
-            rows.append(tuple(float(p) for p in parts))
+            row = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise SignalIoError(f"{path}:{lineno}: {exc}") from exc
+        if not all(math.isfinite(v) for v in row):
+            raise SignalIoError(f"{path}:{lineno}: non-finite sample {line!r}")
+        rows.append(row)
     if not rows:
         raise SignalIoError(f"{path}: no samples found")
     data = np.array(rows)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .ccps import ccps
+from .ccps import _samples
 from .errors import NoPeriodicContent, NumericalError
 from .numtheory import coprime_half_set, divisors, lcm, totient
 
@@ -40,23 +40,30 @@ class BasisBlock:
         return self.matrix.shape[1]
 
 
-def _tile(one_period: np.ndarray, length: int) -> np.ndarray:
-    reps = -(-length // len(one_period))
-    return np.tile(one_period, reps)[:length]
+def _shifted_tilings(table: np.ndarray, shifts, n: int) -> np.ndarray:
+    """Each column of a p-row table downshifted circularly and tiled to n rows.
+
+    Entry (i, j) is table[(i - shifts[j]) mod p, j]; the last repetition is
+    truncated when p does not divide n.
+    """
+    rows = (np.arange(n)[:, None] - np.asarray(shifts)) % table.shape[0]
+    return np.take_along_axis(table, rows, axis=0)
+
+
+def _ccpt_columns(n: int, p: int) -> tuple[tuple, np.ndarray]:
+    """Labels (k, shift) and the tiled cosine-pair columns of period p >= 1."""
+    shifts = (0,) if p <= 2 else (0, 1)
+    labels = tuple((k, l) for k in coprime_half_set(p) for l in shifts)
+    ks, ls = zip(*labels)
+    return labels, _shifted_tilings(_samples(p, np.array(ks)).T, ls, n)
 
 
 def basis_block(n: int, p: int) -> BasisBlock:
     """Block of tiled cosine-pair columns for divisor p of n."""
     if n % p != 0:
         raise ValueError(f"period {p} does not divide length {n}")
-    cols, labels = [], []
-    for k in coprime_half_set(p):
-        seq = ccps(p, k)
-        shifts = (0,) if p <= 2 else (0, 1)
-        for l in shifts:
-            cols.append(_tile(np.roll(seq.samples, l), n))
-            labels.append((k, l))
-    block = BasisBlock(length=n, period=p, labels=tuple(labels), matrix=np.column_stack(cols))
+    labels, matrix = _ccpt_columns(n, p)
+    block = BasisBlock(length=n, period=p, labels=labels, matrix=matrix)
     assert block.width == totient(p)
     return block
 
@@ -206,14 +213,6 @@ def build_ccpt_matrix(n: int) -> NestedPeriodicMatrix:
     return NestedPeriodicMatrix([basis_block(n, p) for p in divisors(n)], kind="ccpt")
 
 
-def ccpt_forward(x, matrix: NestedPeriodicMatrix) -> CoefficientVector:
-    return matrix.forward(x)
-
-
-def ccpt_inverse(beta, matrix: NestedPeriodicMatrix) -> np.ndarray:
-    return matrix.inverse(beta)
-
-
 def divisor_strengths(beta: CoefficientVector, matrix: NestedPeriodicMatrix) -> PeriodStrengthProfile:
     """Absolute square sum of each block's coefficients, one entry per divisor."""
     periods = matrix.divisors
@@ -236,12 +235,6 @@ def frequency_labels(matrix: NestedPeriodicMatrix, frame: float | None = None) -
         i: (k % p) / p * frame
         for i, (p, k, l) in enumerate(matrix.labels)
     }
-
-
-def significant_periods(
-    profile: PeriodStrengthProfile, threshold: float = DEFAULT_THRESHOLD
-) -> tuple[int, ...]:
-    return profile.significant(threshold)
 
 
 def estimate_period(profile: PeriodStrengthProfile, threshold: float = DEFAULT_THRESHOLD) -> int:

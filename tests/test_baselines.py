@@ -8,6 +8,8 @@ from ccpt import transform as t
 from ccpt.numtheory import divisors, totient
 from ccpt.signalgen import gen_y1
 
+import basis_oracle
+
 
 def mobius(n):
     if n == 1:
@@ -58,6 +60,17 @@ def test_rpt_matrix_small():
         assert np.allclose(m5.matrix[:, 1 + l], np.roll(c5, l))
 
 
+def test_ramanujan_block_columns_are_shifted_tilings():
+    for n in range(1, 65):
+        for p in divisors(n):
+            block = b.ramanujan_block(n, p)
+            labels, matrix = basis_oracle.block("rpt", n, p)
+            assert block.labels == labels, (n, p)
+            assert np.array_equal(block.matrix, matrix), (n, p)
+    with pytest.raises(ValueError):
+        b.ramanujan_block(10, 3)
+
+
 def test_rpt_block_orthogonality_and_inversion():
     for n in (12, 72, 128):
         m = b.build_rpt_matrix(n)
@@ -74,14 +87,14 @@ def test_rpt_block_orthogonality_and_inversion():
 
 def test_rpt_forward_examples():
     m = b.build_rpt_matrix(6)
-    beta = b.rpt_forward(np.ones(6), m)
+    beta = m.forward(np.ones(6))
     expected = np.zeros(6)
     expected[0] = 1.0
     assert np.allclose(beta.values, expected, atol=1e-12)
 
     m10 = b.build_rpt_matrix(10)
     x = np.tile(b.ramanujan_sum(5).samples.astype(float), 2)
-    beta = b.rpt_forward(x, m10)
+    beta = m10.forward(x)
     expected = np.zeros(10)
     expected[m10.column_index(5, None, 0)] = 1.0
     assert np.allclose(beta.values, expected, atol=1e-12)
@@ -89,7 +102,7 @@ def test_rpt_forward_examples():
 
 def test_rpt_spreads_single_frequency_content():
     m = b.build_rpt_matrix(72)
-    beta = b.rpt_forward(gen_y1(), m)
+    beta = m.forward(gen_y1())
     s36 = np.abs(beta.block(36))
     assert s36.min() > 1e-6 * np.abs(beta.values).max()
     assert len(s36) == 12

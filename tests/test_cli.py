@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ccpt import cli, sigio
 from ccpt.signalgen import gen_y1, gen_y2
@@ -258,6 +259,45 @@ def test_threshold_env_override(tmp_path, y1_csv, monkeypatch):
     assert json.loads(out.read_text())["threshold"] == 0.1
     monkeypatch.setenv("CCPT_THRESHOLD", "zero")
     assert run("analyze", y1_csv, "-o", out) == 2
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "1.5", "nan", "inf", "zero"])
+def test_threshold_flag_out_of_range_is_usage_error(y1_csv, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        run("analyze", y1_csv, "--threshold", value)
+    assert exc.value.code == 2
+    assert "--threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "1.5", "nan", "inf"])
+def test_threshold_env_out_of_range_is_usage_error(y1_csv, capsys, monkeypatch, value):
+    monkeypatch.setenv("CCPT_THRESHOLD", value)
+    assert run("analyze", y1_csv) == 2
+    assert "CCPT_THRESHOLD" in capsys.readouterr().err
+    assert run("analyze", y1_csv, "--threshold", "1") == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_scan_jobs_below_one_is_usage_error(y2_csv, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        run("scan", y2_csv, "--n1", 95, "--jobs", value)
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_non_finite_sample_is_io_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1.0\nnan\n2.0\n")
+    assert run("analyze", bad) == 3
+    assert "bad.csv:2" in capsys.readouterr().err
+
+
+def test_dict_exits_4_when_ridge_cannot_recover(tmp_path, y2_csv, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+    assert run("dict", y2_csv, "-o", tmp_path / "d.json") == 4
 
 
 def test_usage_error_exit_code():

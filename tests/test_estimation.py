@@ -6,8 +6,11 @@ import scipy.linalg
 
 from ccpt import estimation as e
 from ccpt import transform as t
+from ccpt.errors import NumericalError
 from ccpt.numtheory import totient
 from ccpt.signalgen import gen_tiled_ccps, gen_y2
+
+import basis_oracle
 
 
 def test_range_scan_validates_start():
@@ -89,6 +92,62 @@ def test_build_dictionary_columns_truncate():
     from ccpt.ccps import ccps
 
     assert np.allclose(col, ccps(7, 1).tiled(10), atol=1e-12)
+
+    # every block, non-divisor periods included, equals the literal construction
+    for n in (7, 10, 50, 107):
+        for basis in ("ccpt", "farey", "rpt"):
+            model = e.build_dictionary(n, e.default_p_max(n), basis=basis)
+            for p in range(1, model.p_max + 1):
+                span = model.spans[p]
+                labels, matrix = basis_oracle.block(basis, n, p)
+                assert model.labels[span] == tuple((p, *lab) for lab in labels), (n, basis, p)
+                assert np.array_equal(model.matrix[:, span], matrix), (n, basis, p)
+                assert np.all(model.column_periods[span] == p)
+                assert np.all(model.penalties[span] == float(p * p))
+
+
+def test_ridge_added_when_gram_is_ill_conditioned():
+    with pytest.warns(UserWarning):
+        model = e.build_dictionary(10, 3)
+    a = model.matrix
+    gram = (a * model.penalties**-2.0) @ a.T
+    sol = e.dictionary_solve(model, np.arange(10.0))
+    assert sol.condition > 1e12
+    assert sol.ridge == pytest.approx(1e-10 * np.trace(gram) / 10, rel=1e-12)
+
+
+def _failing_cho_factor(monkeypatch, failures):
+    real = scipy.linalg.cho_factor
+    calls = []
+
+    def flaky(matrix, *args, **kwargs):
+        calls.append(matrix.copy())
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("not positive definite")
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", flaky)
+    return calls
+
+
+def test_ridge_added_when_cholesky_fails(monkeypatch):
+    model = e.build_dictionary(20, 12)
+    x = gen_tiled_ccps(5, 1, 20)
+    calls = _failing_cho_factor(monkeypatch, failures=1)
+    sol = e.dictionary_solve(model, x)
+    assert sol.condition <= 1e12
+    trace = np.trace(calls[0])
+    assert sol.ridge == pytest.approx(1e-10 * trace / 20, rel=1e-12)
+    assert np.allclose(calls[1] - calls[0], sol.ridge * np.eye(20), rtol=0, atol=1e-12 * trace)
+    assert 0.0 < sol.residual < 1e-6
+
+
+def test_solve_raises_when_ridge_cannot_recover(monkeypatch):
+    model = e.build_dictionary(20, 12)
+    calls = _failing_cho_factor(monkeypatch, failures=2)
+    with pytest.raises(NumericalError, match="beyond ridge recovery"):
+        e.dictionary_solve(model, np.ones(20))
+    assert len(calls) == 2
 
 
 def test_build_dictionary_warns_when_underdetermined():

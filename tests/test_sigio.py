@@ -46,6 +46,15 @@ def test_parse_failure_reports_line_number(tmp_path):
         sigio.read_signal(path)
 
 
+@pytest.mark.parametrize("row", ["nan", "inf", "-Infinity", "1.0,nan", "inf,0"])
+def test_non_finite_sample_reports_line_number(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    width = len(row.split(","))
+    path.write_text(",".join(["1.0"] * width) + "\n" + row + "\n")
+    with pytest.raises(SignalIoError, match=r"bad\.csv:2: non-finite"):
+        sigio.read_signal(path)
+
+
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(SignalIoError):
         sigio.read_signal(tmp_path / "absent.csv")

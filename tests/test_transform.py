@@ -7,6 +7,8 @@ from ccpt.errors import NoPeriodicContent, NumericalError
 from ccpt.numtheory import divisors, totient
 from ccpt.signalgen import gen_tiled_ccps, gen_y1
 
+import basis_oracle
+
 
 def test_basis_block_examples():
     b = t.basis_block(5, 1)
@@ -27,10 +29,13 @@ def test_basis_block_requires_divisor():
 
 
 def test_basis_block_columns_are_shifted_tilings():
-    b = t.basis_block(36, 9)
-    for col, (k, l) in zip(b.matrix.T, b.labels):
-        expected = np.tile(np.roll(ccps(9, k).samples, l), 4)
-        assert np.allclose(col, expected, atol=1e-12)
+    # every block for N <= 64 equals the literal roll-and-tile construction
+    for n in range(1, 65):
+        for p in divisors(n):
+            b = t.basis_block(n, p)
+            labels, matrix = basis_oracle.block("ccpt", n, p)
+            assert b.labels == labels, (n, p)
+            assert np.array_equal(b.matrix, matrix), (n, p)
 
 
 def test_build_matrix_small_layout():
