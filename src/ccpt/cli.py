@@ -11,40 +11,41 @@ CCPT_THRESHOLD environment variable.
 """
 
 import argparse
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, estimation, signalgen, sigio, transform
+from .ccps import ccps
 from .errors import NoPeriodicContent, NumericalError, SignalIoError
 
 SCHEMA = "ccpt-report/1"
 SIGNAL_SCHEMA = "ccpt-signal/1"
 
 
-def _fraction(text: str) -> float:
-    """A significance threshold: a finite number in (0, 1]."""
-    try:
-        value = float(text)
-        if 0.0 < value <= 1.0:  # false for nan
+def _checked(convert, accept, wants: str):
+    """An argparse type: convert the text, then keep values that `accept` admits (never nan)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if accept(value):
             return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a finite number in (0, 1], got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be {wants}, got {text!r}")
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a finite number in (0, 1]")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _threshold(args) -> float:
@@ -67,55 +68,6 @@ def _profile_dict(profile: transform.PeriodStrengthProfile) -> dict:
     }
 
 
-@dataclass
-class AnalysisReport:
-    """Everything one analysis run produced, of which JSON is the wire form."""
-
-    method: str
-    input_meta: dict
-    threshold: float
-    coefficients: list[float]
-    columns: list[str]
-    profile: transform.PeriodStrengthProfile
-    estimated_period: int | None
-    status: str
-    runtime_seconds: float
-    complexity: baselines.ComplexityReport | None
-    frequency_labels: dict[int, float] | None = None
-
-    def as_dict(self) -> dict:
-        complexity = None
-        if self.complexity is not None:
-            complexity = {
-                "method": self.complexity.method,
-                "multiplications": self.complexity.multiplications,
-                "unit": self.complexity.unit,
-                "formula": self.complexity.formula,
-                "l_multiplier": self.complexity.l_multiplier,
-            }
-        doc = {
-            "schema": SCHEMA,
-            "report": "analysis",
-            "method": self.method,
-            "input": self.input_meta,
-            "threshold": self.threshold,
-            "coefficients": self.coefficients,
-            "columns": self.columns,
-            "strengths": _profile_dict(self.profile),
-            "significant_periods": [int(p) for p in self.profile.significant(self.threshold)],
-            "estimated_period": self.estimated_period,
-            "status": self.status,
-            "runtime_seconds": self.runtime_seconds,
-            "complexity": complexity,
-            "frequency_labels": (
-                None
-                if self.frequency_labels is None
-                else {str(i): f for i, f in self.frequency_labels.items()}
-            ),
-        }
-        return doc
-
-
 def _dump_strengths(path, profile: transform.PeriodStrengthProfile) -> None:
     prof = _profile_dict(profile)
     sigio.write_matrix_csv(path, np.column_stack([prof["periods"], prof["raw"], prof["fraction"]]))
@@ -134,6 +86,51 @@ def _estimate(profile, threshold) -> tuple[int | None, str]:
         return transform.estimate_period(profile, threshold), "ok"
     except NoPeriodicContent:
         return None, "no periodic content"
+
+
+def _timed(fn, *args):
+    """(fn(*args), wall-clock seconds the call took)."""
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
+
+
+def _transform(x, method: str):
+    """Forward transform and divisor strengths: (values, profile, matrix or None for dft)."""
+    if method == "dft":
+        spectrum = baselines.dft(x)
+        return spectrum, baselines.dft_divisor_strengths(spectrum), None
+    build = transform.build_ccpt_matrix if method == "ccpt" else baselines.build_rpt_matrix
+    matrix = build(len(x))
+    beta = matrix.forward(x)
+    return beta.values, transform.divisor_strengths(beta, matrix), matrix
+
+
+def _fit(x, basis: str, p_max: int, exponent: float = 2.0):
+    """Penalized dictionary fit with f(p) = p^exponent: (model, solution, profile)."""
+    model = estimation.build_dictionary(
+        len(x), p_max, penalty=lambda p: float(p) ** exponent, basis=basis
+    )
+    solution = estimation.dictionary_solve(model, x)
+    return model, solution, estimation.dictionary_strength_profile(solution, model)
+
+
+def _complexity(method: str, n: int, *fields: str, n1: int | None = None) -> dict:
+    """The method plus the named fields of its analytic multiplication count."""
+    report = baselines.complexity_estimate(method, n, n1)
+    return {"method": method, **{name: getattr(report, name) for name in fields}}
+
+
+def _finish(args, doc: dict, status: str) -> int:
+    """Write the report to -o or stdout; a run without an estimate exits 4."""
+    if args.output:
+        sigio.write_json(args.output, doc)
+    else:
+        print(sigio.canonical_json(doc), end="")
+    if status != "ok":
+        print(f"error: {status}", file=sys.stderr)
+        return 4
+    return 0
 
 
 # --- gen -------------------------------------------------------------------
@@ -155,6 +152,10 @@ def cmd_gen(args) -> int:
             p, k = (int(v) for v in args.tiled_ccps.split(","))
         except ValueError as exc:
             raise ValueError(f"--tiled-ccps wants P,K (got {args.tiled_ccps!r})") from exc
+        try:
+            ccps(p, k)
+        except ValueError as exc:
+            raise ValueError(f"--tiled-ccps {args.tiled_ccps}: {exc}") from None
         length = args.length if args.length is not None else p
         spec = signalgen.SignalSpec(kind="tiled-ccps", length=length, components=((p, k),))
     x = signalgen.generate(spec)
@@ -169,63 +170,42 @@ def cmd_gen(args) -> int:
 # --- analyze ----------------------------------------------------------------
 
 
-def _analyze_ccpt_like(x, method: str, frame: float | None):
-    build = transform.build_ccpt_matrix if method == "ccpt" else baselines.build_rpt_matrix
-    start = time.perf_counter()
-    matrix = build(len(x))
-    beta = matrix.forward(x)
-    profile = transform.divisor_strengths(beta, matrix)
-    elapsed = time.perf_counter() - start
-    labels = None
-    if method == "ccpt":
-        labels = transform.frequency_labels(matrix, frame)
-    columns = [sigio.column_label(lab) for lab in matrix.labels]
-    return np.abs(beta.values), columns, profile, labels, elapsed
-
-
-def _analyze_dft(x, frame: float | None):
-    start = time.perf_counter()
-    spectrum = baselines.dft(x)
-    profile = baselines.dft_divisor_strengths(spectrum)
-    elapsed = time.perf_counter() - start
-    n = len(x)
-    scale = float(n) if frame is None else frame
-    labels = {k: ((k if k <= n // 2 else k - n) / n) * scale for k in range(n)}
-    columns = [f"bin{k}" for k in range(n)]
-    return np.abs(spectrum), columns, profile, labels, elapsed
-
-
 def cmd_analyze(args) -> int:
     threshold = _threshold(args)
     x = sigio.read_signal(args.input)
-    if args.method == "dft":
-        magnitudes, columns, profile, labels, elapsed = _analyze_dft(x, args.frame)
+    n = len(x)
+    (values, profile, matrix), elapsed = _timed(_transform, x, args.method)
+    magnitudes = np.abs(values)
+    if matrix is None:
+        scale = float(n) if args.frame is None else args.frame
+        labels = {k: ((k if k <= n // 2 else k - n) / n) * scale for k in range(n)}
+        columns = [f"bin{k}" for k in range(n)]
     else:
-        magnitudes, columns, profile, labels, elapsed = _analyze_ccpt_like(x, args.method, args.frame)
+        labels = transform.frequency_labels(matrix, args.frame) if args.method == "ccpt" else None
+        columns = [sigio.column_label(lab) for lab in matrix.labels]
     period, status = _estimate(profile, threshold)
-    report = AnalysisReport(
-        method=args.method,
-        input_meta=_input_meta(args.input, x),
-        threshold=threshold,
-        coefficients=[float(m) for m in magnitudes],
-        columns=columns,
-        profile=profile,
-        estimated_period=period,
-        status=status,
-        runtime_seconds=elapsed,
-        complexity=baselines.complexity_estimate(args.method, len(x)),
-        frequency_labels=labels,
-    )
+    doc = {
+        "schema": SCHEMA,
+        "report": "analysis",
+        "method": args.method,
+        "input": _input_meta(args.input, x),
+        "threshold": threshold,
+        "coefficients": [float(m) for m in magnitudes],
+        "columns": columns,
+        "strengths": _profile_dict(profile),
+        "significant_periods": [int(p) for p in profile.significant(threshold)],
+        "estimated_period": period,
+        "status": status,
+        "runtime_seconds": elapsed,
+        "complexity": _complexity(args.method, n, "multiplications", "unit", "formula", "l_multiplier"),
+        "frequency_labels": None if labels is None else {str(i): f for i, f in labels.items()},
+    }
     if args.dump_coefficients:
-        rows = np.column_stack([np.arange(len(magnitudes)), magnitudes])
+        rows = np.column_stack([np.arange(n), magnitudes])
         sigio.write_matrix_csv(args.dump_coefficients, rows)
     if args.dump_strengths:
         _dump_strengths(args.dump_strengths, profile)
-    _emit(args, report.as_dict())
-    if status != "ok":
-        print(f"error: {status}", file=sys.stderr)
-        return 4
-    return 0
+    return _finish(args, doc, status)
 
 
 # --- scan -------------------------------------------------------------------
@@ -234,9 +214,7 @@ def cmd_analyze(args) -> int:
 def cmd_scan(args) -> int:
     threshold = _threshold(args)
     x = sigio.read_signal(args.input)
-    start = time.perf_counter()
-    result = estimation.range_scan(x, args.n1, threshold=threshold, jobs=args.jobs)
-    elapsed = time.perf_counter() - start
+    result, elapsed = _timed(estimation.range_scan, x, args.n1, threshold, args.jobs)
     doc = {
         "schema": SCHEMA,
         "report": "scan",
@@ -254,13 +232,7 @@ def cmd_scan(args) -> int:
         ],
         "subspace_visits": {str(p): c for p, c in sorted(result.subspace_visits.items())},
         "duplicated_projections": result.duplicated_projections,
-        "complexity": {
-            "method": "scan-ccpt",
-            "multiplications": baselines.complexity_estimate(
-                "scan-ccpt", result.n, result.n1
-            ).multiplications,
-            "unit": "real",
-        },
+        "complexity": _complexity("scan-ccpt", result.n, "multiplications", "unit", n1=result.n1),
         "runtime_seconds": elapsed,
     }
     if args.csv:
@@ -268,8 +240,7 @@ def cmd_scan(args) -> int:
         for rec in result.records:
             lines.append(f"{rec.length},{';'.join(str(p) for p in rec.detected)}")
         Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _emit(args, doc)
-    return 0
+    return _finish(args, doc, "ok")
 
 
 # --- dict -------------------------------------------------------------------
@@ -278,19 +249,14 @@ def cmd_scan(args) -> int:
 def cmd_dict(args) -> int:
     threshold = _threshold(args)
     x = sigio.read_signal(args.input)
-    p_max = args.pmax if args.pmax is not None else estimation.default_p_max(len(x))
+    n = len(x)
+    p_max = args.pmax if args.pmax is not None else estimation.default_p_max(n)
     exponent = args.penalty_exponent
-    start = time.perf_counter()
-    model = estimation.build_dictionary(
-        len(x), p_max, penalty=lambda p: float(p) ** exponent, basis=args.basis
-    )
-    solution = estimation.dictionary_solve(model, x)
-    profile = estimation.dictionary_strength_profile(solution, model)
-    elapsed = time.perf_counter() - start
+    (model, solution, profile), elapsed = _timed(_fit, x, args.basis, p_max, exponent)
     period, status = _estimate(profile, threshold)
     frequencies = None
     if args.basis in ("ccpt", "farey"):
-        scale = float(len(x)) if args.frame is None else args.frame
+        scale = float(n) if args.frame is None else args.frame
         frequencies = {}
         for p in profile.significant(threshold):
             span = model.spans[p]
@@ -314,23 +280,16 @@ def cmd_dict(args) -> int:
         "estimated_period": period,
         "status": status,
         "residual": solution.residual,
-        "condition_estimate": solution.condition,
+        # a singular system has condition inf, which JSON cannot carry
+        "condition_estimate": solution.condition if math.isfinite(solution.condition) else None,
         "ridge": solution.ridge,
         "frequencies": frequencies,
-        "complexity": {
-            "method": f"dict-{args.basis}",
-            "formula": baselines.complexity_estimate(f"dict-{args.basis}", len(x)).formula,
-            "unit": "real",
-        },
+        "complexity": _complexity(f"dict-{args.basis}", n, "formula", "unit"),
         "runtime_seconds": elapsed,
     }
     if args.dump_strengths:
         _dump_strengths(args.dump_strengths, profile)
-    _emit(args, doc)
-    if status != "ok":
-        print(f"error: {status}", file=sys.stderr)
-        return 4
-    return 0
+    return _finish(args, doc, status)
 
 
 # --- compare ----------------------------------------------------------------
@@ -346,59 +305,26 @@ _CAPABILITIES = {
 }
 
 
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
 def cmd_compare(args) -> int:
     x = sigio.read_signal(args.input)
     n = len(x)
-    rows = []
-    runs = {
-        "dft": lambda: baselines.dft(x),
-        "rpt": lambda: baselines.build_rpt_matrix(n).forward(x),
-        "ccpt": lambda: transform.build_ccpt_matrix(n).forward(x),
-    }
-    for method in ("dft", "rpt", "ccpt"):
-        cap = _CAPABILITIES[method]
-        report = baselines.complexity_estimate(method, n)
-        rows.append(
-            {
-                "method": method,
-                "divisor_period": cap[0],
-                "non_divisor_period": cap[1],
-                "frequency": cap[2],
-                "multiplications": report.multiplications,
-                "unit": report.unit,
-                "formula": report.formula,
-                "wall_clock_seconds": _timed(runs[method]),
-            }
-        )
+    # each run times the region analyze or dict reports as runtime_seconds
+    runs = [(method, _transform, (x, method)) for method in ("dft", "rpt", "ccpt")]
     if args.dict:
         p_max = estimation.default_p_max(n)
-        for basis in ("ccpt", "farey", "rpt"):
-            method = f"dict-{basis}"
-            cap = _CAPABILITIES[method]
-            report = baselines.complexity_estimate(method, n)
-
-            def run(basis=basis):
-                model = estimation.build_dictionary(n, p_max, basis=basis)
-                estimation.dictionary_solve(model, x)
-
-            rows.append(
-                {
-                    "method": method,
-                    "divisor_period": cap[0],
-                    "non_divisor_period": cap[1],
-                    "frequency": cap[2],
-                    "multiplications": None,
-                    "unit": report.unit,
-                    "formula": report.formula,
-                    "wall_clock_seconds": _timed(run),
-                }
-            )
+        runs += [(f"dict-{basis}", _fit, (x, basis, p_max)) for basis in ("ccpt", "farey", "rpt")]
+    rows = []
+    for method, fn, fn_args in runs:
+        divisor, non_divisor, frequency = _CAPABILITIES[method]
+        rows.append(
+            {
+                **_complexity(method, n, "multiplications", "unit", "formula"),
+                "divisor_period": divisor,
+                "non_divisor_period": non_divisor,
+                "frequency": frequency,
+                "wall_clock_seconds": _timed(fn, *fn_args)[1],
+            }
+        )
     doc = {
         "schema": SCHEMA,
         "report": "compare",
@@ -447,14 +373,6 @@ def cmd_basis(args) -> int:
 # --- wiring -----------------------------------------------------------------
 
 
-def _emit(args, doc: dict) -> None:
-    text = sigio.canonical_json(doc)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
-
-
 def _add_threshold(p) -> None:
     p.add_argument(
         "--threshold",
@@ -475,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a test signal CSV with a metadata sidecar")
     p.add_argument("--preset", choices=("y1", "y2"))
     p.add_argument("--tiled-ccps", metavar="P,K", help="tile the cosine-pair sequence (P,K)")
-    p.add_argument("--len", dest="length", type=int, help="length for --tiled-ccps")
+    p.add_argument("--len", dest="length", type=_positive_int, help="length for --tiled-ccps")
     p.add_argument("--seed", type=int, default=0, help="RNG seed for random presets")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
@@ -483,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full-length transform, strengths, period estimate")
     p.add_argument("input")
     p.add_argument("--method", choices=("ccpt", "rpt", "dft"), default="ccpt")
-    p.add_argument("--frame", type=float, help="samples per unit time for frequency labels")
+    p.add_argument("--frame", type=_positive_float, help="samples per unit time for frequency labels")
     _add_threshold(p)
     p.add_argument("--dump-coefficients", metavar="CSV", help="write index,magnitude plot data")
     p.add_argument("--dump-strengths", metavar="CSV", help="write period,raw,fraction plot data")
@@ -501,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dict", help="penalized dictionary fit for non-divisor periods")
     p.add_argument("input")
-    p.add_argument("--pmax", type=int, help="largest candidate period (default min(0.8N, N-1))")
-    p.add_argument("--penalty-exponent", type=float, default=2.0, help="penalty f(p) = p^e")
+    p.add_argument("--pmax", type=_positive_int, help="largest candidate period (default min(0.8N, N-1))")
+    p.add_argument("--penalty-exponent", type=_finite_float, default=2.0, help="penalty f(p) = p^e")
     p.add_argument("--basis", choices=("ccpt", "farey", "rpt"), default="ccpt")
-    p.add_argument("--frame", type=float, help="samples per unit time for frequency labels")
+    p.add_argument("--frame", type=_positive_float, help="samples per unit time for frequency labels")
     _add_threshold(p)
     p.add_argument("--dump-strengths", metavar="CSV", help="write period,raw,fraction plot data")
     p.add_argument("-o", "--output")

@@ -102,8 +102,11 @@ def write_matrix_csv(path, matrix, labels=None) -> None:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON encoding: sorted keys, fixed indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic strict JSON: sorted keys, fixed indent, trailing newline.
+
+    A non-finite float raises ValueError, since JSON has no NaN or Infinity.
+    """
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:

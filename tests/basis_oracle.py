@@ -1,9 +1,10 @@
-"""Literal column-by-column construction of every period block: the test oracle.
+"""Literal constructions the package's fast paths are checked against.
 
-Each generator yields ((k, shift), column) for one period p at length n,
-built by rolling one period of the sequence and tiling it with np.tile,
-the last repetition truncated. The package's vectorised builders must
-reproduce these columns bit for bit.
+Each column generator yields ((k, shift), column) for one period p at
+length n, built by rolling one period of the sequence and tiling it with
+np.tile, the last repetition truncated. The package's vectorised builders
+must reproduce these columns bit for bit. `dft` and `idft` are the direct
+O(N^2) sums the FFT baseline must match to rounding.
 """
 
 from math import gcd
@@ -47,3 +48,18 @@ def block(basis, n, p):
     """(labels, n x width matrix) of the literal period-p block."""
     labels, cols = zip(*COLUMNS[basis](n, p))
     return labels, np.column_stack(cols)
+
+
+def dft(x):
+    """Direct DFT: X[k] = sum_n x[n] e^{-j2*pi*k*n/N}."""
+    x = np.asarray(x)
+    n = len(x)
+    grid = np.outer(np.arange(n), np.arange(n))
+    return np.exp(-2j * np.pi * grid / n) @ x
+
+
+def idft(spectrum):
+    spectrum = np.asarray(spectrum)
+    n = len(spectrum)
+    grid = np.outer(np.arange(n), np.arange(n))
+    return np.exp(2j * np.pi * grid / n) @ spectrum / n

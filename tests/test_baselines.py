@@ -118,6 +118,16 @@ def test_dft_examples():
     assert np.abs(b.dft(np.ones(4)) - np.array([4, 0, 0, 0])).max() < 1e-12
 
 
+def test_dft_matches_direct_sum():
+    rng = np.random.default_rng(0)
+    for n in (*range(1, 130), 397, 400, 720):
+        for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            expected = basis_oracle.dft(x)
+            assert np.abs(b.dft(x) - expected).max() <= 1e-12 * np.abs(expected).max(), n
+            back = basis_oracle.idft(expected)
+            assert np.abs(b.idft(expected) - back).max() <= 1e-12 * np.abs(back).max(), n
+
+
 def test_dft_inverse_and_parseval():
     rng = np.random.default_rng(64)
     x = rng.standard_normal(64) + 1j * rng.standard_normal(64)

@@ -313,3 +313,113 @@ def test_stdout_report_when_no_output(tmp_path, y1_csv, capsys):
     assert run("analyze", y1_csv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["estimated_period"] == 36
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["analyze", "dict"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "0", "ten"])
+def test_frame_must_be_finite_and_positive(y1_csv, capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        run(command, y1_csv, "--frame", value)
+    assert exc.value.code == 2
+    assert "--frame" in capsys.readouterr().err
+
+
+def test_singular_dictionary_reports_null_condition(tmp_path):
+    ramp = tmp_path / "ramp.csv"
+    sigio.write_signal(ramp, np.arange(1.0, 11.0))
+    out = tmp_path / "d.json"
+    with pytest.warns(UserWarning, match="only 1 columns"):
+        assert run("dict", ramp, "--pmax", 1, "--basis", "farey", "-o", out) == 0
+    doc = _strict_json(out.read_text())
+    assert doc["condition_estimate"] is None
+    assert doc["ridge"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["dict", "{y2}", "--penalty-exponent", "nan"], "--penalty-exponent"),
+        (["dict", "{y2}", "--penalty-exponent", "inf"], "--penalty-exponent"),
+        (["dict", "{y2}", "--pmax", "0"], "--pmax"),
+        (["dict", "{y2}", "--pmax", "-4"], "--pmax"),
+        (["gen", "--tiled-ccps", "5,1", "--len", "0", "-o", "{out}"], "--len"),
+        (["gen", "--tiled-ccps", "5,1", "--len", "-3", "-o", "{out}"], "--len"),
+    ],
+)
+def test_numeric_flags_are_checked_when_parsed(tmp_path, y2_csv, capsys, argv, flag):
+    argv = [a.format(y2=y2_csv, out=tmp_path / "x.csv") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("pair", ["5,3", "5,0", "0,1"])
+def test_gen_invalid_tiled_pair_names_flag(tmp_path, capsys, pair):
+    assert run("gen", "--tiled-ccps", pair, "-o", tmp_path / "x.csv") == 2
+    assert "--tiled-ccps" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_unwritable_report_is_io_error(tmp_path, y1_csv, capsys):
+    assert run("analyze", y1_csv, "-o", tmp_path / "missing" / "r.json") == 3
+    assert "r.json" in capsys.readouterr().err
+
+
+_ANALYZE_KEYS = {
+    "schema", "report", "method", "input", "threshold", "coefficients", "columns", "strengths",
+    "significant_periods", "estimated_period", "status", "runtime_seconds", "complexity",
+    "frequency_labels",
+}
+_SCAN_KEYS = {
+    "schema", "report", "input", "n1", "n", "threshold", "records", "subspace_visits",
+    "duplicated_projections", "complexity", "runtime_seconds",
+}
+_DICT_KEYS = {
+    "schema", "report", "basis", "input", "p_max", "penalty_exponent", "threshold", "n_hat",
+    "strengths", "significant_periods", "estimated_period", "status", "residual",
+    "condition_estimate", "ridge", "frequencies", "complexity", "runtime_seconds",
+}
+_COMPARE_ROW_KEYS = {
+    "method", "divisor_period", "non_divisor_period", "frequency", "multiplications", "unit",
+    "formula", "wall_clock_seconds",
+}
+
+
+def test_report_shapes(tmp_path, y1_csv, y2_csv):
+    def report(*argv):
+        out = tmp_path / "r.json"
+        assert run(*argv, "-o", out) == 0
+        return _strict_json(out.read_text())
+
+    for method in ("ccpt", "rpt", "dft"):
+        doc = report("analyze", y1_csv, "--method", method, "--frame", 360)
+        assert doc.keys() == _ANALYZE_KEYS
+        assert doc["complexity"].keys() == {
+            "method", "multiplications", "unit", "formula", "l_multiplier"
+        }
+        assert doc["complexity"]["method"] == method
+    doc = report("scan", y2_csv, "--n1", 95)
+    assert doc.keys() == _SCAN_KEYS
+    assert doc["complexity"] == {
+        "method": "scan-ccpt", "multiplications": 2 * sum(m * m for m in range(95, 101)), "unit": "real"
+    }
+    for basis in ("ccpt", "farey", "rpt"):
+        doc = report("dict", y2_csv, "--pmax", 40, "--basis", basis, "--frame", 10)
+        assert doc.keys() == _DICT_KEYS
+        formula = "2L" if basis == "farey" else "L"
+        assert doc["complexity"] == {"method": f"dict-{basis}", "formula": formula, "unit": "real"}
+    doc = report("compare", y2_csv, "--dict")
+    assert doc.keys() == {"schema", "report", "input", "rows"}
+    methods = ["dft", "rpt", "ccpt", "dict-ccpt", "dict-farey", "dict-rpt"]
+    assert [row["method"] for row in doc["rows"]] == methods
+    for row in doc["rows"]:
+        assert row.keys() == _COMPARE_ROW_KEYS

@@ -89,3 +89,9 @@ def test_canonical_json_round_trips_byte_identical():
     again = sigio.canonical_json(json.loads(text))
     assert text == again
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_canonical_json_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        sigio.canonical_json({"x": [1.0, value]})
