@@ -51,8 +51,8 @@ def ramanujan_block(n: int, p: int) -> BasisBlock:
     """Period-p block: tilings of the Ramanujan sequence shifted l = 0..phi(p)-1."""
     if n % p != 0:
         raise ValueError(f"period {p} does not divide length {n}")
-    labels, matrix = _rpt_columns(n, p)
-    return BasisBlock(length=n, period=p, labels=labels, matrix=matrix)
+    labels, table = _rpt_columns(p, p)
+    return BasisBlock(length=n, period=p, labels=labels, table=table)
 
 
 def build_rpt_matrix(n: int) -> NestedPeriodicMatrix:

@@ -22,6 +22,7 @@ import numpy as np
 from . import baselines, estimation, signalgen, sigio, transform
 from .ccps import ccps
 from .errors import NoPeriodicContent, NumericalError, SignalIoError
+from .numtheory import divisors
 
 SCHEMA = "ccpt-report/1"
 SIGNAL_SCHEMA = "ccpt-signal/1"
@@ -349,16 +350,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    matrix = transform.build_ccpt_matrix(args.n)
-    if args.block is not None:
-        if args.block not in matrix.divisors:
-            raise ValueError(f"{args.block} is not a divisor of {args.n}: {matrix.divisors}")
-        span = matrix.block_span(args.block)
-        data = matrix.matrix[:, span]
-        labels = matrix.labels[span]
+    if args.block is None:
+        matrix = transform.build_ccpt_matrix(args.n)
+        data, labels = matrix.matrix, matrix.labels
     else:
-        data = matrix.matrix
-        labels = matrix.labels
+        periods = divisors(args.n)
+        if args.block not in periods:
+            raise ValueError(f"{args.block} is not a divisor of {args.n}: {periods}")
+        block = transform.basis_block(args.n, args.block)
+        data, labels = block.matrix, tuple((args.block, k, l) for k, l in block.labels)
     if args.output:
         sigio.write_matrix_csv(args.output, data, labels)
         print(f"wrote {data.shape[0]}x{data.shape[1]} matrix to {args.output}")
@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--n1", type=int, required=True, help="smallest truncation length")
     _add_threshold(p)
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker threads for scan lengths")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="ignored: scans run in one thread")
     p.add_argument("--csv", metavar="CSV", help="also write length,detected rows")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_scan)

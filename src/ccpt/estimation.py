@@ -17,7 +17,6 @@ the literal inverse.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd
@@ -69,7 +68,8 @@ def range_scan(x, n1: int, threshold: float = DEFAULT_THRESHOLD, jobs: int = 1) 
 
     Implemented literally: every length gets its own synthesis matrix and
     solve, so divisor subspaces shared between lengths are recomputed; the
-    result reports how often each subspace was visited.
+    result reports how often each subspace was visited. Lengths run in one
+    thread (a pool was slower under the interpreter lock); `jobs` is ignored.
     """
     x = np.asarray(x)
     n = len(x)
@@ -82,11 +82,7 @@ def range_scan(x, n1: int, threshold: float = DEFAULT_THRESHOLD, jobs: int = 1) 
         profile = divisor_strengths(matrix.forward(x[:ni]), matrix)
         return ScanRecord(length=ni, profile=profile, detected=profile.significant(threshold))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = tuple(pool.map(analyze, lengths))
-    else:
-        records = tuple(analyze(ni) for ni in lengths)
+    records = tuple(analyze(ni) for ni in lengths)
 
     visits: dict[int, int] = {}
     for rec in records:

@@ -1,17 +1,21 @@
 """Nested periodic synthesis matrix, forward/inverse transform, strengths.
 
-The synthesis matrix for length N stacks one basis block per divisor p of
+The synthesis matrix T for length N stacks one basis block per divisor p of
 N, in ascending divisor order. A block holds totient(p) columns: for each
 pair index k (ascending) the tiled cosine-pair sequence and, for p >= 3,
-its one circular downshift. Blocks of distinct periods are mutually
-orthogonal, the matrix is square and invertible, and the forward transform
-is the linear solve beta = T^-1 x (LU, factored once and cached).
+its one circular downshift. T is square and invertible.
+
+The forward transform solves T beta = x without forming T. Block p tiles one
+period and spans only exponentials of exact period p, so it meets only the
+DFT bins (N/p) r with gcd(r, p) = 1, which no other block meets. With
+X = fft(x)/N and W the rows r of fft(table_p)/p, block p solves
+W beta_p = X[(N/p) r], a real totient(p)-square system inverted once.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
-import scipy.linalg
 
 from .ccps import _samples
 from .errors import NoPeriodicContent, NumericalError
@@ -27,17 +31,23 @@ class BasisBlock:
     """All period-p columns of a length-N synthesis matrix.
 
     labels holds one (k, shift) pair per column; k is None for blocks
-    whose columns are plain shifts of a single generator sequence.
+    whose columns are plain shifts of a single generator sequence. table
+    holds one period (p rows) of every column; the columns tile it.
     """
 
     length: int
     period: int
     labels: tuple[tuple, ...]
-    matrix: np.ndarray
+    table: np.ndarray
 
     @property
     def width(self) -> int:
-        return self.matrix.shape[1]
+        return self.table.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The N x totient(p) block, built on each call."""
+        return np.tile(self.table, (self.length // self.period, 1))
 
 
 def _shifted_tilings(table: np.ndarray, shifts, n: int) -> np.ndarray:
@@ -62,8 +72,8 @@ def basis_block(n: int, p: int) -> BasisBlock:
     """Block of tiled cosine-pair columns for divisor p of n."""
     if n % p != 0:
         raise ValueError(f"period {p} does not divide length {n}")
-    labels, matrix = _ccpt_columns(n, p)
-    block = BasisBlock(length=n, period=p, labels=labels, matrix=matrix)
+    labels, table = _ccpt_columns(p, p)
+    block = BasisBlock(length=n, period=p, labels=labels, table=table)
     assert block.width == totient(p)
     return block
 
@@ -75,6 +85,10 @@ class PeriodStrengthProfile:
     periods: tuple[int, ...]
     strengths: np.ndarray
     total: float
+
+    def __post_init__(self):
+        if not np.isfinite(self.total):
+            raise NumericalError(f"period strengths overflow float64 (total {self.total})")
 
     def fractions(self) -> np.ndarray:
         """Strengths as fractions of the profile total (zeros if empty)."""
@@ -117,9 +131,9 @@ class CoefficientVector:
 class NestedPeriodicMatrix:
     """Square synthesis matrix assembled from per-period basis blocks.
 
-    Immutable after construction; the LU factorization and condition
-    estimate are computed once on first use, so a shared instance can
-    serve concurrent read-only transforms.
+    Holds only the blocks' one-period tables. The per-block DFT maps and the
+    condition number are computed once, on the first condition() call, so a
+    shared instance can serve concurrent read-only transforms.
     """
 
     def __init__(self, blocks: list[BasisBlock], kind: str = "ccpt"):
@@ -131,24 +145,19 @@ class NestedPeriodicMatrix:
         self.kind = kind
         self.n = n
         self.blocks = tuple(sorted(blocks, key=lambda b: b.period))
-        self.matrix = np.concatenate([b.matrix for b in self.blocks], axis=1)
-        if self.matrix.shape != (n, n):
-            raise ValueError(
-                f"blocks supply {self.matrix.shape[1]} columns for length {n}; "
-                "expected one block per divisor"
-            )
-        self.spans: dict[int, slice] = {}
-        self.labels: tuple[tuple, ...] = ()
-        labels = []
-        start = 0
-        for b in self.blocks:
-            self.spans[b.period] = slice(start, start + b.width)
-            labels.extend((b.period, k, l) for k, l in b.labels)
-            start += b.width
-        self.labels = tuple(labels)
+        starts = list(accumulate((b.width for b in self.blocks), initial=0))
+        if starts[-1] != n:
+            raise ValueError(f"blocks supply {starts[-1]} columns for length {n}; expected one block per divisor")
+        self.spans = {b.period: slice(a, z) for b, a, z in zip(self.blocks, starts, starts[1:])}
+        self.labels = tuple((b.period, k, l) for b in self.blocks for k, l in b.labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self._lu = None
+        self._maps = None
         self._cond = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N matrix, built on each call."""
+        return np.concatenate([b.matrix for b in self.blocks], axis=1)
 
     @property
     def divisors(self) -> tuple[int, ...]:
@@ -161,20 +170,34 @@ class NestedPeriodicMatrix:
         return self.spans[p]
 
     def condition(self) -> float:
+        """Ratio of the extreme singular values of the matrix.
+
+        The first call builds R = [Re W; Im W] per block (R = W for p <= 2) and keeps
+        inv(R) if the gate passes. The unitary DFT maps block p to sqrt(N) W, and
+        W^H W = c R^T R, c = 2 for p >= 3 (rows r and p - r are conjugate).
+        """
         if self._cond is None:
-            self._cond = float(np.linalg.cond(self.matrix))
+            systems, squares = [], []
+            for b in self.blocks:
+                p = b.period
+                r = np.array(coprime_half_set(p).residues) % p
+                w = np.fft.fft(b.table, axis=0)[r] / p
+                bins = r * (self.n // p)
+                rows = np.concatenate([bins, bins + self.n])[: b.width]
+                system = np.vstack([w.real, w.imag])[: b.width]
+                systems.append((rows, system))
+                squares.append(self.n * (2 if p >= 3 else 1) * np.linalg.eigvalsh(system.T @ system))
+            s = np.sqrt(np.clip(np.concatenate(squares), 0.0, None))
+            cond = float(s.max() / s.min()) if s.min() > 0.0 else np.inf
+            if cond <= CONDITION_LIMIT:  # set before _cond, which marks the maps ready
+                self._maps = [(rows, np.linalg.inv(system)) for rows, system in systems]
+            self._cond = cond
         return self._cond
 
-    def _factorization(self):
-        if self._lu is None:
-            self._lu = scipy.linalg.lu_factor(self.matrix)
-        return self._lu
-
     def forward(self, x) -> CoefficientVector:
-        """Coefficients beta with matrix @ beta == x (solved, never inverted).
+        """Coefficients beta with matrix @ beta == x, solved block by block.
 
-        Complex input is handled by solving the real system once for the
-        real part and once for the imaginary part.
+        R's rows take (X[m] + X[-m])/2 and (X[m] - X[-m])/2j: Re X[m], Im X[m] for real x.
         """
         x = np.asarray(x)
         if x.shape != (self.n,):
@@ -185,27 +208,29 @@ class NestedPeriodicMatrix:
                 f"synthesis matrix for N={self.n} too ill-conditioned to invert "
                 f"(condition estimate {cond:.3e})"
             )
-        lu = self._factorization()
+        spectrum = np.fft.fft(x) / self.n
         if np.iscomplexobj(x):
-            parts = scipy.linalg.lu_solve(lu, np.column_stack([x.real, x.imag]))
-            values = parts[:, 0] + 1j * parts[:, 1]
+            mirror = spectrum[-np.arange(self.n) % self.n]
+            pairs = np.concatenate([(spectrum + mirror) / 2, (spectrum - mirror) / 2j])
         else:
-            values = scipy.linalg.lu_solve(lu, x.astype(float)) + 0j
+            pairs = np.concatenate([spectrum.real, spectrum.imag])
+        values = np.concatenate([inv @ pairs[rows] for rows, inv in self._maps]) + 0j
         norm_x = np.linalg.norm(x)
         if norm_x > 0.0:
-            residual = np.linalg.norm(self.matrix @ values - x) / norm_x
+            residual = np.linalg.norm(self.inverse(values) - x) / norm_x
             if residual > RESIDUAL_TOL:
-                raise NumericalError(
-                    f"forward solve residual {residual:.3e} exceeds {RESIDUAL_TOL}"
-                )
+                raise NumericalError(f"forward solve residual {residual:.3e} exceeds {RESIDUAL_TOL}")
         return CoefficientVector(n=self.n, values=values, spans=self.spans)
 
     def inverse(self, beta) -> np.ndarray:
-        """Synthesis: plain matrix-vector product."""
+        """Synthesis: each block's table times its coefficients, tiled over N."""
         values = beta.values if isinstance(beta, CoefficientVector) else np.asarray(beta)
         if values.shape != (self.n,):
             raise ValueError(f"coefficient length {values.shape} does not match {self.n}")
-        return self.matrix @ values
+        out = np.zeros(self.n, dtype=np.result_type(values, float))
+        for b in self.blocks:
+            out.reshape(-1, b.period)[:] += b.table @ values[self.spans[b.period]]
+        return out
 
 
 def build_ccpt_matrix(n: int) -> NestedPeriodicMatrix:

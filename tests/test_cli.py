@@ -292,6 +292,20 @@ def test_non_finite_sample_is_io_error(tmp_path, capsys):
     assert "bad.csv:2" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv", [("analyze", "--method", m) for m in ("ccpt", "rpt", "dft")] + [("dict",)]
+)
+def test_overflowing_strengths_are_numerical_errors(tmp_path, capsys, argv):
+    # the samples are finite, but their block energies exceed float64
+    big = tmp_path / "big.csv"
+    big.write_text("1e200\n-1e200\n1e200\n-1e200\n")
+    out = tmp_path / "r.json"
+    assert run(argv[0], big, *argv[1:], "-o", out) == 4
+    assert "overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dict_exits_4_when_ridge_cannot_recover(tmp_path, y2_csv, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")

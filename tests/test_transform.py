@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccpt import transform as t
+from ccpt.baselines import build_rpt_matrix
 from ccpt.ccps import ccps
 from ccpt.errors import NoPeriodicContent, NumericalError
 from ccpt.numtheory import divisors, totient
@@ -234,3 +236,27 @@ def test_condition_gate(monkeypatch):
     monkeypatch.setattr(m, "_cond", 1e13)
     with pytest.raises(NumericalError):
         m.forward(np.ones(8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 256),
+    kind=st.sampled_from(["ccpt", "rpt"]),
+    complex_input=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_solve_matches_literal_matrix(n, kind, complex_input, seed):
+    # the per-block DFT solve against a dense solve on the literal roll-and-tile matrix
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    if complex_input:
+        x = x + 1j * rng.standard_normal(n)
+    m = {"ccpt": t.build_ccpt_matrix, "rpt": build_rpt_matrix}[kind](n)
+    literal = np.hstack([basis_oracle.block(kind, n, p)[1] for p in divisors(n)])
+    beta = m.forward(x).values
+    expected = np.linalg.solve(literal, x)
+    assert np.linalg.norm(beta - expected) <= 1e-11 * np.linalg.norm(expected)
+    assert np.linalg.norm(m.inverse(beta) - x) <= 1e-12 * np.linalg.norm(x)
+    if not complex_input:
+        assert not beta.imag.any()
+    assert m.condition() == pytest.approx(np.linalg.cond(literal), rel=1e-8)
