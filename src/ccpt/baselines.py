@@ -76,9 +76,11 @@ def dft_divisor_strengths(spectrum) -> PeriodStrengthProfile:
     n = len(spectrum)
     cells = period_partition(n)
     periods = divisors(n)
-    energy = np.abs(spectrum) ** 2
-    strengths = np.array([energy[sorted(cells[d])].sum() for d in periods])
-    return PeriodStrengthProfile(periods=periods, strengths=strengths, total=float(strengths.sum()))
+    with np.errstate(over="ignore"):  # an overflow reads inf, which the profile refuses
+        energy = np.abs(spectrum) ** 2
+        strengths = np.array([energy[sorted(cells[d])].sum() for d in periods])
+        total = float(strengths.sum())
+    return PeriodStrengthProfile(periods=periods, strengths=strengths, total=total)
 
 
 @dataclass(frozen=True)

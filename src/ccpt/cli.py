@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,11 @@ import numpy as np
 from . import baselines, estimation, signalgen, sigio, transform
 from .ccps import ccps
 from .errors import NoPeriodicContent, NumericalError, SignalIoError
-from .numtheory import divisors
+from .numtheory import divisors, totient
 
 SCHEMA = "ccpt-report/1"
 SIGNAL_SCHEMA = "ccpt-signal/1"
+MAX_BASIS_BYTES = 512 * 2**20  # largest float64 matrix `basis` builds
 
 
 def _checked(convert, accept, wants: str):
@@ -350,13 +352,21 @@ def cmd_compare(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    periods = divisors(args.n)
+    if args.block is not None and args.block not in periods:
+        raise ValueError(f"{args.block} is not a divisor of {args.n}: {periods}")
+    width = args.n if args.block is None else totient(args.block)
+    size = args.n * width * 8
+    if size > MAX_BASIS_BYTES:
+        block = "" if args.block is None else f" --block {args.block}"
+        raise ValueError(
+            f"basis {args.n}{block} would take {size / 2**20:.1f} MiB ({args.n}x{width} float64); "
+            f"the cap is {MAX_BASIS_BYTES // 2**20} MiB"
+        )
     if args.block is None:
         matrix = transform.build_ccpt_matrix(args.n)
         data, labels = matrix.matrix, matrix.labels
     else:
-        periods = divisors(args.n)
-        if args.block not in periods:
-            raise ValueError(f"{args.block} is not a divisor of {args.n}: {periods}")
         block = transform.basis_block(args.n, args.block)
         data, labels = block.matrix, tuple((args.block, k, l) for k, l in block.labels)
     if args.output:
@@ -443,9 +453,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a warning shown during the run is one stable line, without a source location
+    shown, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except SignalIoError as exc:
@@ -457,6 +473,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

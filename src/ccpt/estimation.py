@@ -32,6 +32,7 @@ from .transform import (
     DEFAULT_THRESHOLD,
     PeriodStrengthProfile,
     _ccpt_columns,
+    _relative_residual,
     build_ccpt_matrix,
     divisor_strengths,
 )
@@ -229,11 +230,7 @@ def dictionary_solve(model: DictionaryModel, x) -> DictionarySolution:
     # one refinement pass keeps the exact-fit residual near machine level
     y = y + _solve_spd(factor, x - gram @ y, real_system)
     coefficients = weighted.conj().T @ y
-    norm_x = float(np.linalg.norm(x))
-    if norm_x > 0.0:
-        residual = float(np.linalg.norm(a @ coefficients - x)) / norm_x
-    else:
-        residual = 0.0
+    residual = _relative_residual(a @ coefficients, x)
     return DictionarySolution(coefficients=coefficients, residual=residual, condition=cond, ridge=ridge)
 
 
@@ -242,6 +239,8 @@ def dictionary_strength_profile(
 ) -> PeriodStrengthProfile:
     """Absolute square sum of each period block's coefficients, p = 1..p_max."""
     periods = tuple(range(1, model.p_max + 1))
-    energy = np.abs(solution.coefficients) ** 2
-    strengths = np.array([float(energy[model.spans[p]].sum()) for p in periods])
-    return PeriodStrengthProfile(periods=periods, strengths=strengths, total=float(strengths.sum()))
+    with np.errstate(over="ignore"):  # an overflow reads inf, which the profile refuses
+        energy = np.abs(solution.coefficients) ** 2
+        strengths = np.array([float(energy[model.spans[p]].sum()) for p in periods])
+        total = float(strengths.sum())
+    return PeriodStrengthProfile(periods=periods, strengths=strengths, total=total)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +308,66 @@ def test_overflowing_strengths_are_numerical_errors(tmp_path, capsys, argv):
     assert run(argv[0], big, *argv[1:], "-o", out) == 4
     assert "overflow" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", "--method", m) for m in ("ccpt", "rpt", "dft")]
+    + [("dict", "--basis", b) for b in ("ccpt", "farey", "rpt")],
+)
+def test_overflow_prints_only_the_error_line(tmp_path, capsys, argv):
+    # no numpy warning may reach stderr: warnings are errors here
+    big = tmp_path / "big.csv"
+    big.write_text("1e200\n-1e200\n1e200\n-1e200\n")
+    assert run(argv[0], big, *argv[1:], "-o", tmp_path / "r.json") == 4
+    assert capsys.readouterr().err == "error: period strengths overflow float64 (total inf)\n"
+
+
+def test_underdetermined_dictionary_warns_in_one_line(tmp_path):
+    # a real process: the test runner would otherwise record the warning instead of printing it
+    ramp = tmp_path / "ramp.csv"
+    ramp.write_text("".join(f"{i}\n" for i in range(1, 11)))
+    out = tmp_path / "d.json"
+    src = Path(cli.__file__).parents[1]
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "ccpt.cli", "dict", str(ramp), "--pmax", "1", "-o", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stderr == (
+        "warning: dictionary has only 1 columns for length 10; "
+        "the exact-fit constraint may be infeasible\n"
+    )
+    assert json.loads(out.read_text())["n_hat"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (("65536",), "32768.0 MiB"),
+        (("65536", "--block", "65536"), "16384.0 MiB"),
+        (("8193",), "512.1 MiB"),
+        (("65521", "--block", "65521"), "32752.5 MiB"),
+    ],
+)
+def test_basis_refuses_oversized_matrix(tmp_path, capsys, monkeypatch, argv, size):
+    def never(*args):
+        pytest.fail("basis built a matrix above the cap")
+
+    monkeypatch.setattr(cli.transform, "build_ccpt_matrix", never)
+    monkeypatch.setattr(cli.transform, "basis_block", never)
+    assert run("basis", *argv, "-o", tmp_path / "t.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: basis {' '.join(argv)} would take {size}")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_basis_cap_admits_narrow_blocks_of_long_lengths(tmp_path):
+    assert cli.MAX_BASIS_BYTES == 512 * 2**20  # 8192 x 8192 doubles
+    assert run("basis", 65536, "--block", 2, "-o", tmp_path / "b.csv") == 0
 
 
 def test_dict_exits_4_when_ridge_cannot_recover(tmp_path, y2_csv, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,3 +262,53 @@ def test_block_solve_matches_literal_matrix(n, kind, complex_input, seed):
     if not complex_input:
         assert not beta.imag.any()
     assert m.condition() == pytest.approx(np.linalg.cond(literal), rel=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", [t.build_ccpt_matrix, build_rpt_matrix])
+def test_forward_residual_check_fails_closed(build, monkeypatch):
+    # the residual is taken on x / max|x|: huge samples are checked, non-finite ones refused
+    m = build(4)
+    x = np.array([1e200, -1e200, 3e199, -1e200])
+    beta = m.forward(x).values
+    assert np.isfinite(beta).all()
+    assert np.linalg.norm(m.inverse(beta) / 1e200 - x / 1e200) <= 1e-12 * np.linalg.norm(x / 1e200)
+    for sample in (np.nan, np.inf, -np.inf, complex(np.nan, 1.0), complex(1.0, np.inf)):
+        with pytest.raises(NumericalError):
+            m.forward(np.array([sample, 1.0, 1.0, 1.0]))
+    monkeypatch.setattr(t, "RESIDUAL_TOL", -1.0)  # no residual passes: the check must run
+    with pytest.raises(NumericalError):
+        m.forward(x)
+
+
+def test_pair_table_matches_blocks():
+    # the closed-form CCPT layout against the one assembled from basis_block, and its matrix
+    for n in [*range(1, 257), 2520]:
+        m = t.build_ccpt_matrix(n)
+        assembled = t.NestedPeriodicMatrix([t.basis_block(n, p) for p in divisors(n)])
+        assert m.labels == assembled.labels, n
+        assert m.spans == assembled.spans, n
+        assert m.divisors == assembled.divisors == divisors(n), n
+        assert all(m.column_index(*lab) == i for i, lab in enumerate(assembled.labels)), n
+        literal = np.hstack([basis_oracle.block("ccpt", n, p)[1] for p in divisors(n)])
+        assert np.array_equal(m.matrix, literal), n
+
+
+def test_ccpt_transform_needs_no_block_tables():
+    # at N = 4096 the per-block tables alone take about 90 MB; checked first so that a
+    # regression fails here instead of building the tables of N = 2^16
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(4096)
+    tracemalloc.start()
+    try:
+        t.build_ccpt_matrix(4096).forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    n = 1 << 16
+    m = t.build_ccpt_matrix(n)
+    x = rng.standard_normal(n)
+    beta = m.forward(x).values
+    assert not beta.imag.any()
+    assert np.linalg.norm(m.inverse(beta) - x) <= 1e-12 * np.linalg.norm(x)
