@@ -11,10 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import divisors, period_partition, totient
+from .numtheory import _ramanujan_sums, _totients_and_mobius, divisors, totient
 from .transform import BasisBlock, NestedPeriodicMatrix, PeriodStrengthProfile, _shifted_tilings
-
-IMAG_RESIDUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -29,14 +27,8 @@ class RamanujanSum:
 
 
 def ramanujan_sum(q: int) -> RamanujanSum:
-    """Sum e^{j2*pi*k*n/q} over k coprime to q, rounded to exact integers."""
-    ks = np.array([k for k in range(1, q + 1) if np.gcd(k, q) == 1])
-    n = np.arange(q)
-    values = np.exp(2j * np.pi * np.outer(n, ks) / q).sum(axis=1)
-    residue = float(np.abs(values.imag).max())
-    if residue >= IMAG_RESIDUE_TOL:
-        raise AssertionError(f"Ramanujan sum imaginary residue {residue:.3e} for q={q}")
-    return RamanujanSum(period=q, samples=np.rint(values.real).astype(int))
+    """Sum e^{j2*pi*k*n/q} over k coprime to q, n = 0..q-1, in exact integers (von Sterneck)."""
+    return RamanujanSum(period=q, samples=_ramanujan_sums(q, np.arange(q), *_totients_and_mobius(q)))
 
 
 def _rpt_columns(n: int, p: int) -> tuple[tuple, np.ndarray]:
@@ -71,14 +63,14 @@ def idft(spectrum) -> np.ndarray:
 
 
 def dft_divisor_strengths(spectrum) -> PeriodStrengthProfile:
-    """Spectrum energy grouped by the exact period of each bin's exponential."""
+    """Spectrum energy grouped by the exact period n / gcd(k, n) of each bin k's exponential."""
     spectrum = np.asarray(spectrum)
     n = len(spectrum)
-    cells = period_partition(n)
     periods = divisors(n)
     with np.errstate(over="ignore"):  # an overflow reads inf, which the profile refuses
         energy = np.abs(spectrum) ** 2
-        strengths = np.array([energy[sorted(cells[d])].sum() for d in periods])
+        bin_periods = n // np.gcd(np.arange(n), n)
+        strengths = np.bincount(bin_periods, energy, n + 1)[list(periods)]
         total = float(strengths.sum())
     return PeriodStrengthProfile(periods=periods, strengths=strengths, total=total)
 

@@ -5,20 +5,22 @@ Ni in [N1, N]; only divisor periods of some Ni are visible, and the same
 subspace is recomputed for every Ni it divides (the per-period visit
 counts record that overlap).
 
-The dictionary route concatenates period blocks R_1..R_pmax into a fat
+The dictionary route takes the period blocks R_1..R_pmax of a fat
 matrix A, biases toward small periods with the diagonal penalty
 D_ii = f(p_i) (default p^2), and fits exactly:
 
     min ||D b||_2  s.t.  x = A b
-    b = D^-2 A^T (A D^-2 A^T)^-1 x
+    b = D^-2 A^H (A D^-2 A^H)^-1 x
 
-solved by factoring the square system G = A D^-2 A^T once, never forming
-the literal inverse.
+A is never formed. The N x N system G = A D^-2 A^H has a closed form in
+Ramanujan sums c_p, and A^H y and A b go through per-period folds of the
+signal and one length-p FFT per period (see _DictionaryOperator). G is
+factored once by Cholesky, never inverted.
 """
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import cached_property
 from math import gcd
 from typing import Callable
 
@@ -27,6 +29,7 @@ import scipy.linalg
 
 from .baselines import _rpt_columns
 from .errors import NumericalError
+from .numtheory import _ramanujan_sums, _totients_and_mobius
 from .transform import (
     CONDITION_LIMIT,
     DEFAULT_THRESHOLD,
@@ -102,20 +105,37 @@ def default_p_max(n: int) -> int:
 
 @dataclass(frozen=True)
 class DictionaryModel:
-    """Fat synthesis matrix [R_1 ... R_pmax] with per-column period penalties."""
+    """Column layout of the fat matrix [R_1 ... R_pmax] with per-column period penalties.
+
+    Block p holds totient(p) columns penalized by f(p), and the solve weighs
+    it by weights[p - 1] = f(p)^-2. The N x n_hat matrix and the column labels
+    are built only when read; no solve forms them.
+    """
 
     n: int
     p_max: int
     basis: str
-    matrix: np.ndarray
     column_periods: np.ndarray
     penalties: np.ndarray
+    weights: np.ndarray
     spans: dict[int, slice] = field(repr=False)
-    labels: tuple[tuple, ...] = field(repr=False)
 
     @property
     def n_hat(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.column_periods)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The literal N x n_hat dictionary, built on first read."""
+        builder = _BLOCK_BUILDERS[self.basis]
+        return np.concatenate([builder(self.n, p)[1] for p in range(1, self.p_max + 1)], axis=1)
+
+    @cached_property
+    def labels(self) -> tuple[tuple, ...]:
+        """(p, k, shift) of every column; k is None for the Ramanujan basis."""
+        p, k, l = _columns(self.basis, self.p_max, _totients_and_mobius(self.p_max)[0])
+        ks = [None] * len(p) if self.basis == "rpt" else k.tolist()
+        return tuple(zip(p.tolist(), ks, l.tolist()))
 
 
 def _farey_columns(n: int, p: int) -> tuple[tuple, np.ndarray]:
@@ -127,17 +147,42 @@ def _farey_columns(n: int, p: int) -> tuple[tuple, np.ndarray]:
 _BLOCK_BUILDERS = {"ccpt": _ccpt_columns, "farey": _farey_columns, "rpt": _rpt_columns}
 
 
+def _columns(basis: str, p_max: int, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Period p, index k and shift l of every column, in column order (k = 0 for rpt).
+
+    Each basis keeps its columns from the grid of pairs (p, j), 0 <= j < p:
+    farey the exponentials k = j coprime to p, rpt the shifts l = j < phi(p),
+    and ccpt the pairs k = j + 1 coprime to p with 2k <= max(p, 2), each
+    with the shifts 0 and 1 when p >= 3.
+    """
+    periods = np.arange(1, p_max + 1)
+    p = np.repeat(periods, periods)
+    j = np.arange(len(p)) - np.repeat(periods * (periods - 1) // 2, periods)
+    if basis == "farey":
+        keep = np.gcd(j, p) == 1
+        return p[keep], j[keep], np.zeros(int(keep.sum()), dtype=int)
+    if basis == "rpt":
+        keep = j < phi[p]
+        return p[keep], np.zeros(int(keep.sum()), dtype=int), j[keep]
+    k = j + 1
+    keep = (np.gcd(k, p) == 1) & (2 * k <= np.maximum(p, 2))
+    width = np.where(p[keep] >= 3, 2, 1)
+    p, k = np.repeat(p[keep], width), np.repeat(k[keep], width)
+    return p, k, np.arange(len(p)) - np.repeat(np.cumsum(width) - width, width)
+
+
 def build_dictionary(
     n: int,
     p_max: int,
     penalty: Callable[[int], float] | None = None,
     basis: str = "ccpt",
 ) -> DictionaryModel:
-    """Assemble the period dictionary for lengths-n signals.
+    """Lay out the period dictionary for length-n signals.
 
     Block p holds the totient(p) basis columns of period p, tiled to
     length n with the final repetition truncated when p does not divide
-    n. The penalty defaults to f(p) = p^2.
+    n. The penalty defaults to f(p) = p^2. Only the layout and the
+    penalties are recorded; the matrix is built when `matrix` is read.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -146,26 +191,140 @@ def build_dictionary(
     if penalty is None:
         penalty = lambda p: float(p * p)
     periods = range(1, p_max + 1)
-    block_labels, blocks = zip(*(_BLOCK_BUILDERS[basis](n, p) for p in periods))
-    widths = [block.shape[1] for block in blocks]
-    starts = list(accumulate(widths, initial=0))
-    matrix = np.concatenate(blocks, axis=1)
-    if matrix.shape[1] < n:
+    widths = _totients_and_mobius(p_max)[0][1:]
+    starts = np.concatenate([[0], np.cumsum(widths)]).tolist()
+    if starts[-1] < n:
         warnings.warn(
-            f"dictionary has only {matrix.shape[1]} columns for length {n}; "
+            f"dictionary has only {starts[-1]} columns for length {n}; "
             "the exact-fit constraint may be infeasible",
             stacklevel=2,
         )
+    penalties = np.array([float(penalty(p)) for p in periods])
     return DictionaryModel(
         n=n,
         p_max=p_max,
         basis=basis,
-        matrix=matrix,
         column_periods=np.repeat(periods, widths),
-        penalties=np.repeat([float(penalty(p)) for p in periods], widths),
+        penalties=np.repeat(penalties, widths),
+        weights=penalties**-2.0,
         spans={p: slice(a, b) for p, a, b in zip(periods, starts, starts[1:])},
-        labels=tuple((p, *label) for p, labels in zip(periods, block_labels) for label in labels),
     )
+
+
+def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum of the values landing on each slot 0..size-1 (a complex sum part by part)."""
+    if np.iscomplexobj(values):
+        return np.bincount(index, values.real, size) + 1j * np.bincount(index, values.imag, size)
+    return np.bincount(index, values, size)
+
+
+class _DictionaryOperator:
+    """A^H y, A b and G = A D^-2 A^H of one dictionary, none of them through A.
+
+    Every column of block p is p-periodic, so A^H y reads y only through
+    its folds fold_p[r] = sum of y[i] over i = r (mod p), all p = 1..p_max
+    of them from one bincount. The columns then read the folds through a
+    sparse table of entries (column, slot, coefficient):
+
+    - farey and ccpt: the slots are bins of F_p, one length-p FFT of each
+      fold. Column (p, k) of farey reads F_p[k]; column (p, k, l) of ccpt
+      reads M (e^{j theta l} F_p[k] + e^{-j theta l} F_p[-k]), theta = 2 pi k / p
+      and M = 1/2 for p <= 2, else 1.
+    - rpt: c_p(i) = sum over d | p of mu(p/d) d [d | i], so column (p, l)
+      reads mu(p/d) d fold_d[l mod d] for each such d, with no FFT.
+
+    Synthesis runs the same table backwards: scatter, a length-p inverse
+    FFT for the spectral bases, then one gather-sum over all periods. G is
+    real for every basis and comes from Ramanujan sums c_p (see `gram`).
+    """
+
+    def __init__(self, model: DictionaryModel):
+        n, p_max, basis = model.n, model.p_max, model.basis
+        periods = np.arange(1, p_max + 1)
+        phi, mu = _totients_and_mobius(p_max)
+        starts = periods * (periods - 1) // 2  # period p's fold and spectrum begin at starts[p - 1]
+        self.model, self.phi, self.mu, self.periods = model, phi, mu, periods
+        self.size = int(starts[-1] + p_max)
+        self.bounds = list(zip(starts.tolist(), (starts + periods).tolist()))
+        self.rows = starts[:, None] + np.arange(n) % periods[:, None]
+        self.spectral = basis != "rpt"
+        self.real = basis != "farey"
+        if basis == "rpt":
+            # the divisors d of p with mu(p/d) != 0, each paired with every shift l < phi(p)
+            p, d = np.nonzero(periods[:, None] % periods == 0)
+            p, d = p + 1, d + 1
+            keep = mu[p // d] != 0
+            reps = phi[p[keep]]
+            p, d = np.repeat(p[keep], reps), np.repeat(d[keep], reps)
+            l = np.arange(len(p)) - np.repeat(np.cumsum(reps) - reps, reps)
+            self.cols = np.cumsum(phi)[p - 1] + l  # block p starts at phi(1) + ... + phi(p - 1)
+            self.slots = starts[d - 1] + l % d
+            self.coef = mu[p // d] * d
+            return
+        p, k, l = _columns(basis, p_max, phi)
+        cols = np.arange(len(p))
+        if basis == "farey":
+            self.cols, self.slots, self.coef = cols, starts[p - 1] + k, np.ones(len(p))
+            return
+        phase = np.exp(2j * np.pi * k * l / p) * np.where(p <= 2, 0.5, 1.0)
+        self.cols = np.concatenate([cols, cols])
+        self.slots = np.concatenate([starts[p - 1] + k % p, starts[p - 1] + (p - k) % p])
+        self.coef = np.concatenate([phase, phase.conj()])
+
+    def _per_period(self, values: np.ndarray, transform) -> np.ndarray:
+        return np.concatenate([transform(values[a:b]) for a, b in self.bounds])
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A^H y from the folds of y."""
+        slots = _scatter(self.rows.ravel(), np.broadcast_to(y, self.rows.shape).ravel(), self.size)
+        if self.spectral:
+            slots = self._per_period(slots, np.fft.fft)
+        out = _scatter(self.cols, self.coef * slots[self.slots], self.model.n_hat)
+        return out.real if self.real and not np.iscomplexobj(y) else out
+
+    def synthesize(self, b: np.ndarray) -> np.ndarray:
+        """A b: the adjoint's table transposed, then every period tiled and summed."""
+        slots = _scatter(self.slots, self.coef.conj() * b[self.cols], self.size)
+        if self.spectral:
+            slots = self._per_period(slots, lambda s: np.fft.ifft(s, norm="forward"))
+        out = slots[self.rows].sum(axis=0)
+        return out.real if self.real and not np.iscomplexobj(b) else out
+
+    def gram(self) -> np.ndarray:
+        """G = A D^-2 A^H = sum_p w_p R_p R_p^H, real symmetric, with w_p = f(p)^-2.
+
+        - farey: the Toeplitz matrix sum_p w_p c_p(m - n).
+        - ccpt: Toeplitz plus Hankel, sum_p w_p c_p(m - n) for p <= 2 and
+          sum_p w_p [2 c_p(m - n) + c_p(m + n) + c_p(m + n - 2)] for p >= 3.
+        - rpt: from the displacement G[m+1, n+1] = G[m, n] + sum_p w_p
+          [c_p(m+1) c_p(n+1) - c_p(m+1-phi(p)) c_p(n+1-phi(p))], started from
+          the row G[0, :] = A (D^-2 a_0), where a_0 is row 0 of A.
+        """
+        model, periods, w = self.model, self.periods, self.model.weights
+        n = model.n
+        if model.basis == "rpt":
+            p, _, l = _columns("rpt", model.p_max, self.phi)
+            first = self.synthesize(w[p - 1] * self._sums(p, l))
+            lags = np.arange(1, n)[:, None]
+            u = self._sums(periods, lags).astype(float)
+            v = self._sums(periods, lags - self.phi[periods]).astype(float)
+            gram = np.empty((n, n))
+            gram[0], gram[:, 0] = first, first
+            gram[1:, 1:] = (u * w) @ u.T - (v * w) @ v.T
+            for m in range(1, n):  # add the displacements down each diagonal
+                gram[m, 1:] += gram[m - 1, :-1]
+            return (gram + gram.T) / 2.0
+        sums = self._sums(periods[:, None], np.arange(-2, 2 * n - 1))  # lags -2 .. 2n - 2
+        index = np.arange(n)
+        if model.basis == "farey":
+            return (w @ sums[:, 2 : n + 2])[abs(index[:, None] - index)]
+        pairs = periods >= 3
+        toeplitz = (w * np.where(pairs, 2.0, 1.0)) @ sums[:, 2 : n + 2]
+        hankel = (w * pairs) @ (sums[:, 2:] + sums[:, :-2])
+        return toeplitz[abs(index[:, None] - index)] + hankel[index[:, None] + index]
+
+    def _sums(self, p, d) -> np.ndarray:
+        return _ramanujan_sums(p, d, self.phi, self.mu)
 
 
 @dataclass(frozen=True)
@@ -178,11 +337,23 @@ class DictionarySolution:
     ridge: float
 
 
-def _solve_spd(factor, rhs: np.ndarray, matrix_is_real: bool) -> np.ndarray:
-    if matrix_is_real and np.iscomplexobj(rhs):
+def _solve_spd(factor, rhs: np.ndarray) -> np.ndarray:
+    """G^-1 rhs for the real SPD G; a complex rhs is solved as its real and imaginary parts."""
+    if np.iscomplexobj(rhs):
         parts = scipy.linalg.cho_solve(factor, np.column_stack([rhs.real, rhs.imag]))
         return parts[:, 0] + 1j * parts[:, 1]
     return scipy.linalg.cho_solve(factor, rhs)
+
+
+def _condition(gram: np.ndarray) -> float:
+    """2-norm condition number of the symmetric G from its eigenvalues; inf when singular.
+
+    |eigenvalues| are the singular values. A ratio of 1 / eps or more (eps of
+    float64) is rounding on a singular system, and reads inf.
+    """
+    eig = np.abs(np.linalg.eigvalsh(gram))
+    low, high = float(eig.min()), float(eig.max())
+    return high / low if low > high * np.finfo(float).eps else np.inf
 
 
 def _factor_with_ridge(gram: np.ndarray):
@@ -192,14 +363,14 @@ def _factor_with_ridge(gram: np.ndarray):
     estimate of G exceeds CONDITION_LIMIT or G fails to factor. Returns the
     factor, the system it factors, the condition estimate and the ridge.
     """
-    cond = float(np.linalg.cond(gram))
-    if np.isfinite(cond) and cond <= CONDITION_LIMIT:
+    cond = _condition(gram)
+    if cond <= CONDITION_LIMIT:
         try:
             return scipy.linalg.cho_factor(gram), gram, cond, 0.0
         except np.linalg.LinAlgError:
             pass
     n = gram.shape[0]
-    ridge = RIDGE_LAMBDA * float(np.real(np.trace(gram))) / n
+    ridge = RIDGE_LAMBDA * float(np.trace(gram)) / n
     gram = gram + ridge * np.eye(n)
     try:
         return scipy.linalg.cho_factor(gram), gram, cond, ridge
@@ -212,25 +383,22 @@ def _factor_with_ridge(gram: np.ndarray):
 def dictionary_solve(model: DictionaryModel, x) -> DictionarySolution:
     """Exact-fit coefficients biased against large periods.
 
-    Stages the closed form as one SPD solve: G y = x with
-    G = A D^-2 A^H, then b = D^-2 A^H y. If the condition estimate of G
-    exceeds the limit or G fails to factor, a ridge of RIDGE_LAMBDA *
-    trace(G)/n is added and reported on the solution.
+    Stages the closed form as one SPD solve: G y = x with the closed-form
+    G = A D^-2 A^H, then b = D^-2 A^H y, all without forming A. If the
+    condition estimate of G exceeds the limit or G fails to factor, a ridge
+    of RIDGE_LAMBDA * trace(G)/n is added and reported on the solution. The
+    residual is that of A b against x.
     """
     x = np.asarray(x)
     if x.shape != (model.n,):
         raise ValueError(f"signal length {x.shape} does not match dictionary length {model.n}")
-    a = model.matrix
-    real_system = not np.iscomplexobj(a)
-    weighted = a * model.penalties**-2.0
-    gram = weighted @ a.conj().T
-    gram = (gram + gram.conj().T) / 2.0
-    factor, gram, cond, ridge = _factor_with_ridge(gram)
-    y = _solve_spd(factor, x, real_system)
+    operator = _DictionaryOperator(model)
+    factor, gram, cond, ridge = _factor_with_ridge(operator.gram())
+    y = _solve_spd(factor, x)
     # one refinement pass keeps the exact-fit residual near machine level
-    y = y + _solve_spd(factor, x - gram @ y, real_system)
-    coefficients = weighted.conj().T @ y
-    residual = _relative_residual(a @ coefficients, x)
+    y = y + _solve_spd(factor, x - gram @ y)
+    coefficients = model.penalties**-2.0 * operator.adjoint(y)
+    residual = _relative_residual(operator.synthesize(coefficients), x)
     return DictionarySolution(coefficients=coefficients, residual=residual, condition=cond, ridge=ridge)
 
 
@@ -241,6 +409,6 @@ def dictionary_strength_profile(
     periods = tuple(range(1, model.p_max + 1))
     with np.errstate(over="ignore"):  # an overflow reads inf, which the profile refuses
         energy = np.abs(solution.coefficients) ** 2
-        strengths = np.array([float(energy[model.spans[p]].sum()) for p in periods])
+        strengths = np.add.reduceat(energy, [model.spans[p].start for p in periods])
         total = float(strengths.sum())
     return PeriodStrengthProfile(periods=periods, strengths=strengths, total=total)

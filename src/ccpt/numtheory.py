@@ -1,12 +1,16 @@
 """Exact integer arithmetic used by every basis construction.
 
-All functions are pure and operate on plain Python integers. Inputs are
-capped at MAX_N so derived quantities (lcm of divisor sets, totient sums)
-stay far inside exact integer range at the scales the transforms run at.
+All functions are pure and operate on plain Python integers, except the
+private sieve and Ramanujan-sum table, which fill exact int64 arrays for
+whole ranges of periods and lags at once. Inputs are capped at MAX_N so
+derived quantities (lcm of divisor sets, totient sums) stay far inside
+exact integer range at the scales the transforms run at.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 MAX_N = 1 << 16
 
@@ -127,3 +131,34 @@ def period_partition(n: int) -> dict[int, frozenset[int]]:
     for k in range(n):
         cells[n // math.gcd(k, n)].add(k)
     return {d: frozenset(ks) for d, ks in cells.items()}
+
+
+def _totients_and_mobius(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """phi(0..n) and mu(0..n) as int64 arrays from one sieve over the primes <= n.
+
+    Entry 0 of each is 0; only the entries 1..n are meaningful.
+    """
+    phi = np.arange(n + 1, dtype=np.int64)
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    prime = np.ones(n + 1, dtype=bool)
+    prime[:2] = False
+    for q in range(2, math.isqrt(n) + 1):
+        if prime[q]:
+            prime[q * q :: q] = False
+    for q in np.flatnonzero(prime).tolist():
+        phi[q::q] -= phi[q::q] // q
+        mu[q::q] = -mu[q::q]
+        mu[q * q :: q * q] = 0
+    return phi, mu
+
+
+def _ramanujan_sums(p, d, phi: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Ramanujan sums c_p(d) for integer arrays p >= 1 and d that broadcast; exact int64.
+
+    Von Sterneck's formula c_p(d) = mu(p/g) phi(p) / phi(p/g), g = gcd(p, d),
+    with phi and mu from _totients_and_mobius covering every p.
+    """
+    p = np.asarray(p)
+    q = p // np.gcd(p, d)
+    return mu[q] * (phi[p] // phi[q])

@@ -409,12 +409,14 @@ def test_frame_must_be_finite_and_positive(y1_csv, capsys, command, value):
     assert "--frame" in capsys.readouterr().err
 
 
-def test_singular_dictionary_reports_null_condition(tmp_path):
+@pytest.mark.parametrize("basis", ["ccpt", "farey", "rpt"])
+def test_singular_dictionary_reports_null_condition(tmp_path, basis):
     ramp = tmp_path / "ramp.csv"
     sigio.write_signal(ramp, np.arange(1.0, 11.0))
     out = tmp_path / "d.json"
-    with pytest.warns(UserWarning, match="only 1 columns"):
-        assert run("dict", ramp, "--pmax", 1, "--basis", "farey", "-o", out) == 0
+    with pytest.warns(UserWarning, match="only 1 columns") as record:
+        assert run("dict", ramp, "--pmax", 1, "--basis", basis, "-o", out) == 0
+    assert [str(w.message) for w in record if not issubclass(w.category, UserWarning)] == []
     doc = _strict_json(out.read_text())
     assert doc["condition_estimate"] is None
     assert doc["ridge"] > 0.0

@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from ccpt import estimation as e
 from ccpt import transform as t
@@ -274,3 +276,88 @@ def test_custom_penalty_function():
     assert np.all(flat.penalties == 1.0)
     sol = e.dictionary_solve(flat, x)
     assert sol.residual < 1e-8
+
+
+BASES = ("ccpt", "farey", "rpt")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 256),
+    extra=st.integers(0, 266),
+    basis=st.sampled_from(BASES),
+    complex_input=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=100, extra=79, basis="ccpt", complex_input=True, seed=0)
+@example(n=100, extra=79, basis="farey", complex_input=True, seed=0)
+@example(n=100, extra=79, basis="rpt", complex_input=False, seed=0)
+def test_matrix_free_solve_matches_the_dense_dictionary(n, extra, basis, complex_input, seed):
+    p_max = 1 + extra % (n + 10)
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        return rng.standard_normal(size) + (1j * rng.standard_normal(size) if complex_input else 0.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an underdetermined dictionary warns
+        model = e.build_dictionary(n, p_max, basis=basis)
+    a = model.matrix
+    weights = model.penalties**-2.0
+    operator = e._DictionaryOperator(model)
+
+    dense = (a * weights) @ a.conj().T
+    gram = operator.gram()
+    assert np.isrealobj(gram)
+    assert np.abs(gram - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    y, b = draw(n), draw(model.n_hat)
+    reference = a.conj().T @ y
+    assert np.abs(operator.adjoint(y) - reference).max() <= 1e-12 * np.abs(reference).max()
+    reference = a @ b
+    assert np.abs(operator.synthesize(b) - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    x = draw(n)
+    sol = e.dictionary_solve(model, x)
+    if sol.ridge == 0.0:
+        best = np.linalg.lstsq(a / model.penalties, x, rcond=None)[0] / model.penalties
+        err = np.linalg.norm(sol.coefficients - best) / np.linalg.norm(best)
+        assert err <= 1e-12 + 1e-15 * sol.condition, (err, sol.condition)
+        assert np.iscomplexobj(sol.coefficients) == (complex_input or basis == "farey")
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_dictionary_solve_never_forms_the_matrix(basis, monkeypatch):
+    def refuse(n, p):
+        raise AssertionError("the dense dictionary was built")
+
+    monkeypatch.setitem(e._BLOCK_BUILDERS, basis, refuse)
+    x = np.resize(gen_y2(0)[:35], 400)  # one period of the 5- plus 7-periodic preset, tiled
+    tracemalloc.start()
+    try:
+        model = e.build_dictionary(400, 320, basis=basis)
+        sol = e.dictionary_solve(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the fat matrix alone would be 400 x 31,232 floats, about 100 MB
+    assert model.n_hat == 31232
+    assert peak < 16 * 2**20, peak / 2**20
+    assert sol.ridge == 0.0 and sol.residual < 1e-8
+    assert "matrix" not in vars(model)
+    assert set(e.dictionary_strength_profile(sol, model).significant()) >= {5, 7}
+
+
+def test_dictionary_strengths_are_span_sums():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 64, 100, 256):
+        for basis in BASES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                model = e.build_dictionary(n, e.default_p_max(n) + 3, basis=basis)
+            coefficients = rng.standard_normal(model.n_hat) + 1j * rng.standard_normal(model.n_hat)
+            sol = e.DictionarySolution(coefficients=coefficients, residual=0.0, condition=1.0, ridge=0.0)
+            prof = e.dictionary_strength_profile(sol, model)
+            spans = [np.sum(np.abs(coefficients[model.spans[p]]) ** 2) for p in prof.periods]
+            assert prof.periods == tuple(range(1, model.p_max + 1))
+            assert np.allclose(prof.strengths, spans, rtol=1e-13, atol=0)
