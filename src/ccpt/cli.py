@@ -11,11 +11,13 @@ CCPT_THRESHOLD environment variable.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
 import time
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +26,10 @@ from . import baselines, estimation, signalgen, sigio, transform
 from .ccps import ccps
 from .errors import NoPeriodicContent, NumericalError, SignalIoError
 from .numtheory import divisors, totient
+from .transform import MAX_BASIS_BYTES
 
 SCHEMA = "ccpt-report/1"
 SIGNAL_SCHEMA = "ccpt-signal/1"
-MAX_BASIS_BYTES = 512 * 2**20  # largest float64 matrix `basis` builds
 
 
 def _checked(convert, accept, wants: str):
@@ -261,14 +263,14 @@ def cmd_dict(args) -> int:
     if args.basis in ("ccpt", "farey"):
         scale = float(n) if args.frame is None else args.frame
         frequencies = {}
-        for p in profile.significant(threshold):
-            span = model.spans[p]
-            for lab, coef in zip(model.labels[span], solution.coefficients[span]):
-                _, k, l = lab
-                frequencies[sigio.column_label(lab)] = {
-                    "frequency": (k % p) / p * scale,
-                    "magnitude": float(abs(coef)),
-                }
+        significant = profile.significant(threshold)
+        coefficients = chain.from_iterable(solution.coefficients[model.spans[p]] for p in significant)
+        for lab, coef in zip(model.block_labels(significant), coefficients):
+            p, k, _ = lab
+            frequencies[sigio.column_label(lab)] = {
+                "frequency": (k % p) / p * scale,
+                "magnitude": float(abs(coef)),
+            }
     doc = {
         "schema": SCHEMA,
         "report": "dictionary",
@@ -393,6 +395,7 @@ def _add_threshold(p) -> None:
     )
 
 
+@functools.cache  # one build per process: a build costs about 20 parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccpt",
@@ -473,6 +476,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # last resort: a size no check refused still exits as a numerical failure
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return 4
     finally:
         warnings.formatwarning = shown
 

@@ -133,7 +133,13 @@ class DictionaryModel:
     @cached_property
     def labels(self) -> tuple[tuple, ...]:
         """(p, k, shift) of every column; k is None for the Ramanujan basis."""
-        p, k, l = _columns(self.basis, self.p_max, _totients_and_mobius(self.p_max)[0])
+        return self.block_labels(range(1, self.p_max + 1))
+
+    def block_labels(self, periods) -> tuple[tuple, ...]:
+        """The labels of the blocks of the given ascending periods only, in column order."""
+        periods = np.asarray(periods, dtype=int)
+        top = int(periods.max(initial=1))
+        p, k, l = _columns(self.basis, periods, _totients_and_mobius(top)[0])
         ks = [None] * len(p) if self.basis == "rpt" else k.tolist()
         return tuple(zip(p.tolist(), ks, l.tolist()))
 
@@ -147,17 +153,16 @@ def _farey_columns(n: int, p: int) -> tuple[tuple, np.ndarray]:
 _BLOCK_BUILDERS = {"ccpt": _ccpt_columns, "farey": _farey_columns, "rpt": _rpt_columns}
 
 
-def _columns(basis: str, p_max: int, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Period p, index k and shift l of every column, in column order (k = 0 for rpt).
+def _columns(basis: str, periods: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Period p, index k and shift l of every column of the given periods' blocks (k = 0 for rpt).
 
     Each basis keeps its columns from the grid of pairs (p, j), 0 <= j < p:
     farey the exponentials k = j coprime to p, rpt the shifts l = j < phi(p),
     and ccpt the pairs k = j + 1 coprime to p with 2k <= max(p, 2), each
-    with the shifts 0 and 1 when p >= 3.
+    with the shifts 0 and 1 when p >= 3. phi must cover the largest period.
     """
-    periods = np.arange(1, p_max + 1)
     p = np.repeat(periods, periods)
-    j = np.arange(len(p)) - np.repeat(periods * (periods - 1) // 2, periods)
+    j = np.arange(len(p)) - np.repeat(np.cumsum(periods) - periods, periods)
     if basis == "farey":
         keep = np.gcd(j, p) == 1
         return p[keep], j[keep], np.zeros(int(keep.sum()), dtype=int)
@@ -261,7 +266,7 @@ class _DictionaryOperator:
             self.slots = starts[d - 1] + l % d
             self.coef = mu[p // d] * d
             return
-        p, k, l = _columns(basis, p_max, phi)
+        p, k, l = _columns(basis, periods, phi)
         cols = np.arange(len(p))
         if basis == "farey":
             self.cols, self.slots, self.coef = cols, starts[p - 1] + k, np.ones(len(p))
@@ -303,7 +308,7 @@ class _DictionaryOperator:
         model, periods, w = self.model, self.periods, self.model.weights
         n = model.n
         if model.basis == "rpt":
-            p, _, l = _columns("rpt", model.p_max, self.phi)
+            p, _, l = _columns("rpt", periods, self.phi)
             first = self.synthesize(w[p - 1] * self._sums(p, l))
             lags = np.arange(1, n)[:, None]
             u = self._sums(periods, lags).astype(float)

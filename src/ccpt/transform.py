@@ -15,9 +15,11 @@ gcd(r, p) = 1, which no other block meets. Let X = fft(x)/N.
   X[N-m] = alpha + beta e^{j theta}, theta = 2 pi k / p. So a transform is
   one FFT plus this two-term map per pair, and the singular values of T are
   sqrt(N) for p <= 2 and sqrt(2N(1 -+ cos theta)) for p >= 3.
-- Any other blocks (RPT) are solved block by block: with W the rows r of
-  fft(table_p)/p, block p solves W beta_p = X[(N/p) r], a real
-  totient(p)-square system inverted once.
+- RPT (baselines.build_rpt_matrix) is solved block by block: with W the
+  rows r of fft(table_p)/p, block p solves W beta_p = X[(N/p) r] through
+  the normal equations T_p beta_p = W^H X[(N/p) r], T_p[l, l'] =
+  c_p(l - l'), which reduce exactly to one small Ramanujan-sum Toeplitz
+  core per odd squarefree radical (see baselines._RptMatrix).
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +35,7 @@ from .numtheory import _check_positive, coprime_half_set, lcm, totient
 DEFAULT_THRESHOLD = 0.05
 CONDITION_LIMIT = 1e12
 RESIDUAL_TOL = 1e-9
+MAX_BASIS_BYTES = 512 * 2**20  # largest dense float64 matrix `ccpt basis` or an RPT core may take
 
 
 @dataclass(frozen=True)
@@ -154,12 +157,12 @@ def _relative_residual(approx, x) -> float:
 class NestedPeriodicMatrix:
     """Square synthesis matrix assembled from per-period basis blocks.
 
-    Holds only the blocks' one-period tables and solves block by block. The
-    per-block systems and the condition number are computed on the first
-    condition() call and the inverses on the first solve, so a shared
-    instance can serve concurrent read-only transforms. build_ccpt_matrix
-    returns a subclass that solves in closed form and builds its blocks
-    only when they are read.
+    This class holds the layout: spans, labels, column index, and the
+    dense matrix on request. The bases' subclasses solve it through three
+    hooks: _singular_values (all singular values, or at least the extreme
+    ones), _solve (coefficients from X = fft(x)/N) and _synthesize (the
+    matrix times coefficients). condition() runs the first hook once, so a
+    shared instance can serve concurrent read-only transforms.
     """
 
     def __init__(self, blocks: list[BasisBlock], kind: str = "ccpt"):
@@ -176,9 +179,6 @@ class NestedPeriodicMatrix:
             raise ValueError(f"blocks supply {starts[-1]} columns for length {n}; expected one block per divisor")
         self.spans = {b.period: slice(a, z) for b, a, z in zip(self.blocks, starts, starts[1:])}
         self.labels = tuple((b.period, k, l) for b in self.blocks for k, l in b.labels)
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self._systems = None
-        self._maps = None
         self._cond = None
 
     @property
@@ -189,6 +189,10 @@ class NestedPeriodicMatrix:
     @property
     def divisors(self) -> tuple[int, ...]:
         return tuple(self.spans)
+
+    @cached_property
+    def index(self) -> dict[tuple, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def column_index(self, p: int, k, l: int) -> int:
         return self.index[(p, k, l)]
@@ -202,25 +206,6 @@ class NestedPeriodicMatrix:
             s = self._singular_values()
             self._cond = float(s.max() / s.min()) if s.min() > 0.0 else np.inf
         return self._cond
-
-    def _singular_values(self) -> np.ndarray:
-        """All blocks' singular values; keeps each block's R = [Re W; Im W] (R = W for p <= 2).
-
-        The unitary DFT maps block p to sqrt(N) W, and W^H W = c R^T R, c = 2 for
-        p >= 3 (rows r and p - r are conjugate).
-        """
-        systems, squares = [], []
-        for b in self.blocks:
-            p = b.period
-            r = np.array(coprime_half_set(p).residues) % p
-            w = np.fft.fft(b.table, axis=0)[r] / p
-            bins = r * (self.n // p)
-            rows = np.concatenate([bins, bins + self.n])[: b.width]
-            system = np.vstack([w.real, w.imag])[: b.width]
-            systems.append((rows, system))
-            squares.append(self.n * (2 if p >= 3 else 1) * np.linalg.eigvalsh(system.T @ system))
-        self._systems = systems
-        return np.sqrt(np.clip(np.concatenate(squares), 0.0, None))
 
     def forward(self, x) -> CoefficientVector:
         """Coefficients beta with matrix @ beta == x, solved on the DFT of x.
@@ -245,33 +230,12 @@ class NestedPeriodicMatrix:
             raise NumericalError(f"forward solve residual {residual:.3e} exceeds {RESIDUAL_TOL}")
         return CoefficientVector(n=self.n, values=values, spans=self.spans)
 
-    def _solve(self, spectrum: np.ndarray, complex_input: bool) -> np.ndarray:
-        """Each block's inverse times its bins.
-
-        R's rows take (X[m] + X[-m])/2 and (X[m] - X[-m])/2j: Re X[m], Im X[m] for real x.
-        """
-        if self._maps is None:
-            self._maps = [(rows, np.linalg.inv(system)) for rows, system in self._systems]
-        if complex_input:
-            mirror = spectrum[-np.arange(self.n) % self.n]
-            pairs = np.concatenate([(spectrum + mirror) / 2, (spectrum - mirror) / 2j])
-        else:
-            pairs = np.concatenate([spectrum.real, spectrum.imag])
-        return np.concatenate([inv @ pairs[rows] for rows, inv in self._maps]) + 0j
-
     def inverse(self, beta) -> np.ndarray:
         """Synthesis: the matrix times the coefficients, without forming the matrix."""
         values = beta.values if isinstance(beta, CoefficientVector) else np.asarray(beta)
         if values.shape != (self.n,):
             raise ValueError(f"coefficient length {values.shape} does not match {self.n}")
         return self._synthesize(values)
-
-    def _synthesize(self, values: np.ndarray) -> np.ndarray:
-        """Each block's table times its coefficients, added into every period."""
-        out = np.zeros(self.n, dtype=np.result_type(values, float))
-        for b in self.blocks:
-            out.reshape(-1, b.period)[:] += b.table @ values[self.spans[b.period]]
-        return out
 
 
 class _CcptMatrix(NestedPeriodicMatrix):
@@ -280,8 +244,8 @@ class _CcptMatrix(NestedPeriodicMatrix):
     The table has one row per conjugate pair: period p, index k, DFT bin
     m = kN/p for m = 0..N/2, sorted by (p, k). A row with p >= 3 owns the
     columns (k, 0) and (k, 1) at its offset, any other row one column; the
-    rows with p <= 2 come first. Blocks, labels and index are built only
-    when read.
+    rows with p <= 2 come first. Blocks and labels are built only when
+    read.
     """
 
     def __init__(self, n: int):
@@ -315,10 +279,6 @@ class _CcptMatrix(NestedPeriodicMatrix):
     def labels(self) -> tuple[tuple, ...]:
         rows = zip(self._periods.tolist(), self._ks.tolist())
         return tuple((p, k, l) for p, k in rows for l in ((0,) if p <= 2 else (0, 1)))
-
-    @cached_property
-    def index(self) -> dict[tuple, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
     def _singular_values(self) -> np.ndarray:
         """sqrt(N) per single column; 2 sqrt(N) sin(theta/2) and 2 sqrt(N) cos(theta/2) per pair."""

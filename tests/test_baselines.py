@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ccpt import baselines as b
 from ccpt import transform as t
+from ccpt.errors import NumericalError
 from ccpt.numtheory import divisors, period_partition, totient
 from ccpt.signalgen import gen_y1
 
@@ -106,6 +109,94 @@ def test_rpt_spreads_single_frequency_content():
     s36 = np.abs(beta.block(36))
     assert s36.min() > 1e-6 * np.abs(beta.values).max()
     assert len(s36) == 12
+
+
+def test_rpt_solve_sweep_matches_literal_matrix():
+    # every length up to 129, real and complex, against a dense solve on the literal matrix
+    rng = np.random.default_rng(129)
+    for n in range(1, 130):
+        literal = np.hstack([basis_oracle.block("rpt", n, p)[1] for p in divisors(n)])
+        m = b.build_rpt_matrix(n)
+        for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            expected = np.linalg.solve(literal, x)
+            assert np.linalg.norm(m.forward(x).values - expected) <= 1e-12 * np.linalg.norm(expected), n
+        assert m.condition() == pytest.approx(np.linalg.cond(literal), rel=1e-8), n
+
+
+def _reduction(p):
+    """Which reductions block p takes: its square part, an even radical, and the kind of core."""
+    primes = [q for q in range(2, p + 1) if p % q == 0 and all(q % r for r in range(2, q))]
+    odd = [q for q in primes if q != 2]
+    core = "one" if not odd else "prime" if len(odd) == 1 else "composite"
+    return p > math.prod(primes), p % 2 == 0, core
+
+
+def test_rpt_block_reductions_match_dense_toeplitz_solves():
+    # T_p[l, l'] = c_p(l - l'), l, l' < phi(p), solved densely for every block of every p <= 200
+    rng = np.random.default_rng(200)
+    seen = set()
+    for n in range(1, 201):
+        m = b.build_rpt_matrix(n)
+        m.condition()
+        periods = divisors(n)
+        rhs = [rng.standard_normal(totient(p)) + 1j * rng.standard_normal(totient(p)) for p in periods]
+        for part in (np.real, np.imag, lambda v: v):
+            for (p, s, core, flip, _), r in zip(m._plan, rhs):
+                beta = m._block_solve(part(r), s, core, flip)
+                c = b.ramanujan_sum(p).samples
+                lags = np.arange(totient(p))
+                dense = c[(lags[:, None] - lags) % p].astype(float)
+                expected = np.linalg.solve(dense, part(r))
+                assert np.linalg.norm(beta - expected) <= 1e-11 * np.linalg.norm(expected), (n, p)
+                seen.add(_reduction(p))
+    squared, even, cores = zip(*seen)
+    assert {True, False} <= set(squared) and {True, False} <= set(even)
+    assert set(cores) == {"one", "prime", "composite"}
+
+
+def test_rpt_transform_needs_no_block_tables(monkeypatch):
+    # the dense path held block p's p x phi(p) table and its FFT: 440 MB of peak RSS at N = 4096
+    def never(*args):
+        pytest.fail("the RPT transform built a block table")
+
+    monkeypatch.setattr(b, "ramanujan_block", never)
+    monkeypatch.setattr(b, "_shifted_tilings", never)
+    monkeypatch.setattr(t, "_shifted_tilings", never)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(4096)
+    tracemalloc.start()
+    try:
+        b.build_rpt_matrix(4096).forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    for n in (8192, 9240, 1 << 16):  # 9240 = 8 * 3 * 5 * 7 * 11 factors the 480-wide core 1155
+        m = b.build_rpt_matrix(n)
+        x = rng.standard_normal(n)
+        beta = m.forward(x).values
+        assert not beta.imag.any()
+        assert np.linalg.norm(m.inverse(beta) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_rpt_refuses_a_core_above_the_cap_before_building_it(monkeypatch):
+    def never(*args):
+        pytest.fail("a refused core was built")
+
+    # a 47-wide core fits the lowered cap: 35 (phi 24) passes, 105 (phi 48) is refused
+    monkeypatch.setattr(b, "MAX_BASIS_BYTES", 47 * 47 * 8)
+    assert b.build_rpt_matrix(70).forward(np.ones(70)).values[0] == pytest.approx(1.0)
+    monkeypatch.setattr(b, "_ramanujan_sums", never)
+    monkeypatch.setattr(scipy.linalg, "toeplitz", never)
+    m = b.build_rpt_matrix(210)
+    message = (
+        r"^RPT block p=105 of N=210 reduces to a 48x48 Ramanujan-sum core \(r=105, 0\.0 MiB\); "
+        r"the cap is 0 MiB$"
+    )
+    with pytest.raises(NumericalError, match=message):
+        m.forward(np.ones(210))
+    with pytest.raises(NumericalError, match=message):
+        m.condition()
 
 
 def test_dft_examples():

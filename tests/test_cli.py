@@ -370,6 +370,48 @@ def test_basis_cap_admits_narrow_blocks_of_long_lengths(tmp_path):
     assert run("basis", 65536, "--block", 2, "-o", tmp_path / "b.csv") == 0
 
 
+def test_rpt_core_above_the_cap_exits_4(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        pytest.fail("a refused core was built")
+
+    monkeypatch.setattr(cli.baselines, "MAX_BASIS_BYTES", 47 * 47 * 8)  # refuses the 48-wide core 105
+    monkeypatch.setattr(cli.baselines, "_ramanujan_sums", never)
+    signal = tmp_path / "x.csv"
+    sigio.write_signal(signal, np.ones(210))
+    assert run("analyze", signal, "--method", "rpt", "-o", tmp_path / "r.json") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: RPT block p=105 of N=210 reduces to a 48x48 Ramanujan-sum core")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, builder",
+    [
+        (("analyze", "--method", "rpt"), (cli.baselines, "build_rpt_matrix")),
+        (("analyze",), (cli.transform, "build_ccpt_matrix")),
+        (("dict",), (cli.estimation, "build_dictionary")),
+    ],
+)
+def test_memory_error_exits_4_with_one_line(tmp_path, y1_csv, capsys, monkeypatch, argv, builder):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(*builder, exhausted)
+    assert run(argv[0], y1_csv, *argv[1:], "-o", tmp_path / "r.json") == 4
+    assert capsys.readouterr().err == f"error: {argv[0]} ran out of memory\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, y1_csv):
+    assert cli.build_parser() is cli.build_parser()
+    assert run("analyze", y1_csv, "--threshold", 0.5, "--frame", 360, "-o", tmp_path / "a.json") == 0
+    assert run("analyze", y1_csv, "-o", tmp_path / "b.json") == 0
+    first, second = (json.loads((tmp_path / name).read_text()) for name in ("a.json", "b.json"))
+    assert (first["threshold"], second["threshold"]) == (0.5, 0.05)
+    assert second["frequency_labels"][str(first["columns"].index("p36_k1_l0"))] == pytest.approx(2.0)
+
+
 def test_dict_exits_4_when_ridge_cannot_recover(tmp_path, y2_csv, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")

@@ -103,9 +103,13 @@ def test_build_dictionary_columns_truncate():
                 span = model.spans[p]
                 labels, matrix = basis_oracle.block(basis, n, p)
                 assert model.labels[span] == tuple((p, *lab) for lab in labels), (n, basis, p)
+                assert model.block_labels([p]) == model.labels[span], (n, basis, p)
                 assert np.array_equal(model.matrix[:, span], matrix), (n, basis, p)
                 assert np.all(model.column_periods[span] == p)
                 assert np.all(model.penalties[span] == float(p * p))
+            some = (1, 3, model.p_max)
+            assert model.block_labels(some) == sum((model.labels[model.spans[p]] for p in some), ())
+            assert model.block_labels(()) == ()
 
 
 def test_ridge_added_when_gram_is_ill_conditioned():
