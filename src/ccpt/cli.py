@@ -67,9 +67,9 @@ def _threshold(args) -> float:
 
 def _profile_dict(profile: transform.PeriodStrengthProfile) -> dict:
     return {
-        "periods": [int(p) for p in profile.periods],
-        "raw": [float(s) for s in profile.strengths],
-        "fraction": [float(f) for f in profile.fractions()],
+        "periods": list(profile.periods),
+        "raw": profile.strengths.tolist(),
+        "fraction": profile.fractions().tolist(),
     }
 
 

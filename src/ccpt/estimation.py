@@ -1,9 +1,11 @@
 """Non-divisor period estimation: length scan and penalized dictionary fit.
 
 The scan projects truncations x[0:Ni] onto every divisor subspace of each
-Ni in [N1, N]; only divisor periods of some Ni are visible, and the same
-subspace is recomputed for every Ni it divides (the per-period visit
-counts record that overlap).
+Ni in [N1, N]; only divisor periods of some Ni are visible. The lengths
+are solved in chunks, each by one batched closed-form CCPT pass over one
+pair table, and every length keeps its own checks and its own profile: the
+subspace of period p is projected once for every Ni that p divides, and
+the per-period visit counts record that overlap.
 
 The dictionary route takes the period blocks R_1..R_pmax of a fat
 matrix A, biases toward small periods with the diagonal penalty
@@ -36,11 +38,11 @@ from .transform import (
     PeriodStrengthProfile,
     _ccpt_columns,
     _relative_residual,
-    build_ccpt_matrix,
-    divisor_strengths,
+    _truncation_profiles,
 )
 
 RIDGE_LAMBDA = 1e-10
+_SCAN_CHUNK_SAMPLES = 2**16  # the most truncation samples one batched scan solve holds
 
 
 @dataclass(frozen=True)
@@ -70,23 +72,22 @@ class ScanResult:
 def range_scan(x, n1: int, threshold: float = DEFAULT_THRESHOLD, jobs: int = 1) -> ScanResult:
     """Divisor-strength profiles of x[0:Ni] for every Ni in [n1, len(x)].
 
-    Implemented literally: every length gets its own synthesis matrix and
-    solve, so divisor subspaces shared between lengths are recomputed; the
-    result reports how often each subspace was visited. Lengths run in one
-    thread (a pool was slower under the interpreter lock); `jobs` is ignored.
+    Consecutive lengths are solved together in chunks of at most
+    _SCAN_CHUNK_SAMPLES summed samples (a longer length alone), each by
+    one batched closed-form CCPT solve that checks every length's condition
+    and residual as forward does. Every length gets its own profile, and
+    the result reports how often each period's subspace was visited.
+    `jobs` is ignored: the scan runs in one thread.
     """
     x = np.asarray(x)
     n = len(x)
     if not 3 <= n1 <= n:
         raise ValueError(f"scan start {n1} must satisfy 3 <= n1 <= {n}")
-    lengths = range(n1, n + 1)
-
-    def analyze(ni: int) -> ScanRecord:
-        matrix = build_ccpt_matrix(ni)
-        profile = divisor_strengths(matrix.forward(x[:ni]), matrix)
-        return ScanRecord(length=ni, profile=profile, detected=profile.significant(threshold))
-
-    records = tuple(analyze(ni) for ni in lengths)
+    records = tuple(
+        ScanRecord(length=ni, profile=profile, detected=profile.significant(threshold))
+        for lengths in _chunks(n1, n, _SCAN_CHUNK_SAMPLES)
+        for ni, profile in zip(lengths, _truncation_profiles(x, lengths))
+    )
 
     visits: dict[int, int] = {}
     for rec in records:
@@ -96,6 +97,17 @@ def range_scan(x, n1: int, threshold: float = DEFAULT_THRESHOLD, jobs: int = 1) 
     return ScanResult(
         n1=n1, n=n, records=records, subspace_visits=visits, duplicated_projections=duplicated
     )
+
+
+def _chunks(n1: int, n: int, budget: int):
+    """Consecutive ranges of lengths covering n1..n, each summing to at most budget or holding one length."""
+    start = n1
+    while start <= n:
+        stop, size = start + 1, start
+        while stop <= n and size + stop <= budget:
+            size, stop = size + stop, stop + 1
+        yield range(start, stop)
+        start = stop
 
 
 def default_p_max(n: int) -> int:

@@ -29,12 +29,33 @@ def read_signal(path) -> np.ndarray:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise SignalIoError(f"{path}: {exc}") from exc
-    rows: list[tuple[float, ...]] = []
+    rows = [
+        (lineno, line)
+        for lineno, raw in enumerate(lines, start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+    if not rows:
+        raise SignalIoError(f"{path}: no samples found")
+    kept = [line for _, line in rows]
+    widths = {line.count(",") + 1 for line in kept}
+    data = None
+    if widths == {1} or widths == {2}:
+        try:
+            data = np.fromiter(map(float, ",".join(kept).split(",")), float)
+        except ValueError:
+            pass
+    if data is None or not np.isfinite(data).all():
+        _raise_first_bad_row(path, rows)
+    if widths == {1}:
+        return data
+    pairs = data.reshape(-1, 2)
+    return pairs[:, 0] + 1j * pairs[:, 1]
+
+
+def _raise_first_bad_row(path: Path, rows: list[tuple[int, str]]) -> None:
+    """Check the rows in file order and raise SignalIoError for the first bad one."""
     width = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in rows:
         parts = line.split(",")
         if width is None:
             width = len(parts)
@@ -52,13 +73,6 @@ def read_signal(path) -> np.ndarray:
             raise SignalIoError(f"{path}:{lineno}: {exc}") from exc
         if not all(math.isfinite(v) for v in row):
             raise SignalIoError(f"{path}:{lineno}: non-finite sample {line!r}")
-        rows.append(row)
-    if not rows:
-        raise SignalIoError(f"{path}: no samples found")
-    data = np.array(rows)
-    if width == 1:
-        return data[:, 0]
-    return data[:, 0] + 1j * data[:, 1]
 
 
 def write_signal(path, x) -> None:

@@ -14,7 +14,9 @@ gcd(r, p) = 1, which no other block meets. Let X = fft(x)/N.
   sequence and its downshift satisfy X[m] = alpha + beta e^{-j theta} and
   X[N-m] = alpha + beta e^{j theta}, theta = 2 pi k / p. So a transform is
   one FFT plus this two-term map per pair, and the singular values of T are
-  sqrt(N) for p <= 2 and sqrt(2N(1 -+ cos theta)) for p >= 3.
+  sqrt(N) for p <= 2 and sqrt(2N(1 -+ cos theta)) for p >= 3. The range
+  scan (_truncation_profiles) applies the same pair formulas to many
+  lengths at once, from one pair table.
 - RPT (baselines.build_rpt_matrix) is solved block by block: with W the
   rows r of fft(table_p)/p, block p solves W beta_p = X[(N/p) r] through
   the normal equations T_p beta_p = W^H X[(N/p) r], T_p[l, l'] =
@@ -150,8 +152,23 @@ def _relative_residual(approx, x) -> float:
     peak = np.abs(x).max(initial=0.0)
     if peak == 0.0:
         return 0.0
-    scale = 2.0 ** -np.clip(np.frexp(peak)[1], -1000, 1000)
+    scale = _unit_scale(peak)
     return float(np.linalg.norm((approx - x) * scale) / np.linalg.norm(x * scale))
+
+
+def _unit_scale(peak):
+    """The power of two nearest 1 / peak, its exponent clipped so that it stays a finite float."""
+    return 2.0 ** -np.clip(np.frexp(peak)[1], -1000, 1000)
+
+
+def _condition_error(n: int, cond: float) -> NumericalError:
+    return NumericalError(
+        f"synthesis matrix for N={n} too ill-conditioned to invert (condition estimate {cond:.3e})"
+    )
+
+
+def _residual_error(residual: float) -> NumericalError:
+    return NumericalError(f"forward solve residual {residual:.3e} exceeds {RESIDUAL_TOL}")
 
 
 class NestedPeriodicMatrix:
@@ -219,15 +236,12 @@ class NestedPeriodicMatrix:
             raise ValueError(f"signal length {x.shape} does not match matrix size {self.n}")
         cond = self.condition()
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise NumericalError(
-                f"synthesis matrix for N={self.n} too ill-conditioned to invert "
-                f"(condition estimate {cond:.3e})"
-            )
+            raise _condition_error(self.n, cond)
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite values fail the check below
             values = self._solve(np.fft.fft(x) / self.n, np.iscomplexobj(x))
             residual = _relative_residual(self.inverse(values), x)
         if not residual <= RESIDUAL_TOL:
-            raise NumericalError(f"forward solve residual {residual:.3e} exceeds {RESIDUAL_TOL}")
+            raise _residual_error(residual)
         return CoefficientVector(n=self.n, values=values, spans=self.spans)
 
     def inverse(self, beta) -> np.ndarray:
@@ -238,37 +252,75 @@ class NestedPeriodicMatrix:
         return self._synthesize(values)
 
 
+def _pair_table(lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One row per conjugate pair of every given length, sorted by (length, p, k).
+
+    Length N = lengths[i] has a row for each DFT bin m = 0..N/2: with
+    g = gcd(m, N), its period is p = N/g and its index k = m/g, except
+    k = 1 for bin 0 (the period-1 pair). Returns i, p, k and m per row.
+    """
+    lengths = np.asarray(lengths)
+    counts = lengths // 2 + 1
+    which = np.repeat(np.arange(len(lengths)), counts)
+    m = np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts, counts)
+    n = lengths[which]
+    g = np.gcd(m, n)
+    p, k = n // g, np.maximum(m // g, 1)
+    room = (lengths + 1) ** 2  # a length's rows sort by p (N + 1) + k < (N + 1)^2
+    order = np.argsort(np.repeat(np.cumsum(room) - room, counts) + p * (n + 1) + k)
+    return which[order], p[order], k[order], m[order]
+
+
+def _pair_angles(p, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """theta / 2 = pi k / p of each pair, then cos theta and sin theta."""
+    half = np.pi * k / p
+    return half, np.cos(2 * half), np.sin(2 * half)
+
+
+def _pair_solve(xm, xn, cos, sin) -> tuple[np.ndarray, np.ndarray]:
+    """alpha, beta of each pair from X[m] and X[N - m]; xn None takes the real form for real x."""
+    if xn is None:
+        beta = -xm.imag / sin
+        return xm.real - beta * cos, beta
+    beta = (xn - xm) / (2j * sin)
+    return xm - beta * (cos - 1j * sin), beta
+
+
+def _pair_spectrum(alpha, beta, cos, sin, sign: int = 1) -> np.ndarray:
+    """Each pair's bin X[m] = alpha + beta e^{-j theta}; sign = -1 gives X[N - m]."""
+    return alpha + beta * (cos - sign * 1j * sin)
+
+
+def _pair_singular_values(half) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs' singular values over sqrt(N): 2 sin(theta / 2) and 2 cos(theta / 2)."""
+    return 2 * np.sin(half), 2 * np.cos(half)
+
+
 class _CcptMatrix(NestedPeriodicMatrix):
     """The cosine-pair matrix, solved in closed form from its pair table.
 
-    The table has one row per conjugate pair: period p, index k, DFT bin
-    m = kN/p for m = 0..N/2, sorted by (p, k). A row with p >= 3 owns the
-    columns (k, 0) and (k, 1) at its offset, any other row one column; the
-    rows with p <= 2 come first. Blocks and labels are built only when
-    read.
+    The table (_pair_table) has one row per conjugate pair: period p, index
+    k, DFT bin m = kN/p for m = 0..N/2, sorted by (p, k). A row with p >= 3
+    owns the columns (k, 0) and (k, 1) at its offset, any other row one
+    column; the rows with p <= 2 come first. Blocks and labels are built
+    only when read.
     """
 
     def __init__(self, n: int):
         n = _check_positive(n)
-        m = np.arange(n // 2 + 1)
-        g = np.gcd(m, n)
-        p, k = n // g, m // g
-        k[0] = 1  # bin 0 is the period-1 pair, k = 1
-        order = np.lexsort((k, p))
-        p, k, m = p[order], k[order], m[order]
+        _, p, k, m = _pair_table([n])
         width = np.where(p >= 3, 2, 1)
         offset = np.cumsum(width) - width
         starts = np.flatnonzero(np.diff(p)) + 1  # the rows that open periods after p = 1
         bounds = [0, *offset[starts].tolist(), n]
         single = int(np.count_nonzero(p <= 2))
-        half = np.pi * k[single:] / p[single:]  # theta / 2 of each pair
         self.kind = "ccpt"
         self.n = n
         self.spans = {q: slice(a, z) for q, a, z in zip([1, *p[starts].tolist()], bounds, bounds[1:])}
         self._periods, self._ks = p, k
         self._single_bins = m[:single]
         self._pair_bins, self._pair_cols = m[single:], offset[single:]
-        self._half, self._cos, self._sin = half, np.cos(2 * half), np.sin(2 * half)
+        self._half, self._cos, self._sin = _pair_angles(p[single:], k[single:])
         self._cond = None
 
     @cached_property
@@ -281,9 +333,9 @@ class _CcptMatrix(NestedPeriodicMatrix):
         return tuple((p, k, l) for p, k in rows for l in ((0,) if p <= 2 else (0, 1)))
 
     def _singular_values(self) -> np.ndarray:
-        """sqrt(N) per single column; 2 sqrt(N) sin(theta/2) and 2 sqrt(N) cos(theta/2) per pair."""
+        """sqrt(N) per single column, and the pairs' closed forms times sqrt(N)."""
         single = np.ones(len(self._single_bins))
-        return np.sqrt(self.n) * np.concatenate([single, 2 * np.sin(self._half), 2 * np.cos(self._half)])
+        return np.sqrt(self.n) * np.concatenate([single, *_pair_singular_values(self._half)])
 
     def _solve(self, spectrum: np.ndarray, complex_input: bool) -> np.ndarray:
         """alpha, beta of every pair from X[m] and X[N-m]; the real form for real x."""
@@ -291,12 +343,10 @@ class _CcptMatrix(NestedPeriodicMatrix):
         single = spectrum[self._single_bins]
         xm = spectrum[self._pair_bins]
         if complex_input:
-            beta = (spectrum[self.n - self._pair_bins] - xm) / (2j * self._sin)
-            alpha = xm - beta * (self._cos - 1j * self._sin)
+            alpha, beta = _pair_solve(xm, spectrum[self.n - self._pair_bins], self._cos, self._sin)
         else:
             single = single.real
-            beta = -xm.imag / self._sin
-            alpha = xm.real - beta * self._cos
+            alpha, beta = _pair_solve(xm, None, self._cos, self._sin)
         values[: len(single)] = single
         values[self._pair_cols] = alpha
         values[self._pair_cols + 1] = beta
@@ -308,11 +358,11 @@ class _CcptMatrix(NestedPeriodicMatrix):
         alpha, beta = values[self._pair_cols], values[self._pair_cols + 1]
         spectrum = np.zeros(n, dtype=complex)
         spectrum[self._single_bins] = values[: len(self._single_bins)]
-        spectrum[self._pair_bins] = alpha + beta * (self._cos - 1j * self._sin)
+        spectrum[self._pair_bins] = _pair_spectrum(alpha, beta, self._cos, self._sin)
         dtype = np.result_type(values, float)
         if not np.iscomplexobj(values) or not values.imag.any():
             return (np.fft.irfft(spectrum[: n // 2 + 1], n) * n).astype(dtype, copy=False)
-        spectrum[n - self._pair_bins] = alpha + beta * (self._cos + 1j * self._sin)
+        spectrum[n - self._pair_bins] = _pair_spectrum(alpha, beta, self._cos, self._sin, -1)
         return np.fft.ifft(spectrum) * n
 
 
@@ -329,6 +379,92 @@ def divisor_strengths(beta: CoefficientVector, matrix: NestedPeriodicMatrix) -> 
         strengths = np.add.reduceat(np.abs(beta.values) ** 2, starts)
         total = float(strengths.sum())
     return PeriodStrengthProfile(periods=periods, strengths=strengths, total=total)
+
+
+def _truncation_profiles(x: np.ndarray, lengths: range) -> list[PeriodStrengthProfile]:
+    """Divisor strengths of x[:Ni] for every Ni in lengths, as build_ccpt_matrix(Ni) finds them.
+
+    One pair table covers all the lengths, every pair is solved at once,
+    and one reduceat sums every block; only the FFT of each truncation and
+    the inverse FFT of its reconstruction run per length. Each length is
+    checked as forward checks it: the closed-form condition, then the
+    residual of its reconstruction against x[:Ni], both scaled by the
+    power of two nearest 1 / max|x[:Ni]|. The first length that fails
+    raises NumericalError naming it. Memory grows with the sum of lengths.
+    """
+    complex_input = np.iscomplexobj(x)
+    sizes = np.asarray(lengths)
+    starts = np.cumsum(sizes) - sizes  # each truncation's first sample among the concatenated ones
+    bins = sizes if complex_input else sizes // 2 + 1  # the full spectrum, or the half of real x
+    bin_starts = np.cumsum(bins) - bins
+    row_starts = np.cumsum(sizes // 2 + 1) - (sizes // 2 + 1)
+    cuts = list(zip(lengths, starts.tolist(), bin_starts.tolist(), (bin_starts + bins).tolist()))
+    which, p, k, m = _pair_table(sizes)
+    n = sizes[which]
+    pos = bin_starts[which] + m
+    pair = p >= 3
+    width = np.where(pair, 2, 1)
+    column = np.cumsum(width) - width  # each row's first coefficient; a pair's beta is the next
+    half, cos, sin = _pair_angles(p[pair], k[pair])
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # non-finite values fail below
+        spectrum = np.empty(int(bins.sum()), dtype=complex)
+        for ni, _, a, z in cuts:
+            spectrum[a:z] = np.fft.fft(x[:ni])[: z - a]  # fft, not rfft: the bins forward solves from
+        xm = spectrum[pos] / n
+        coef, xn = xm.real, None
+        if complex_input:
+            mirror = (pos + n - 2 * m)[pair]  # bin N - m of each pair
+            coef, xn = xm, spectrum[mirror] / n[pair]
+        alpha, beta = _pair_solve(xm[pair], xn, cos, sin)
+        synthesis = np.zeros_like(spectrum)
+        synthesis[pos] = coef
+        synthesis[pos[pair]] = _pair_spectrum(alpha, beta, cos, sin)
+        if complex_input:
+            synthesis[mirror] = _pair_spectrum(alpha, beta, cos, sin, -1)
+        approx = np.empty(int(sizes.sum()), dtype=synthesis.dtype if complex_input else float)
+        inverse = np.fft.ifft if complex_input else np.fft.irfft
+        for ni, s, a, z in cuts:
+            approx[s : s + ni] = inverse(synthesis[a:z], ni, norm="forward")
+        residual = _truncation_residuals(approx, x, sizes, starts)
+        sv_sin, sv_cos = _pair_singular_values(half)
+        high, low = np.ones(len(p)), np.ones(len(p))
+        high[pair], low[pair] = np.maximum(sv_sin, sv_cos), np.minimum(sv_sin, sv_cos)
+        cond = np.maximum.reduceat(high, row_starts) / np.minimum.reduceat(low, row_starts)
+
+        # the coefficients in column order, so each block sums as divisor_strengths sums it
+        values = np.empty(len(approx), dtype=complex)
+        values[column] = coef
+        values[column[pair]], values[column[pair] + 1] = alpha, beta
+        opens = np.flatnonzero((np.diff(p, prepend=0) != 0) | (np.diff(which, prepend=-1) != 0))
+        strengths = np.add.reduceat(np.abs(values) ** 2, column[opens])
+        periods = p[opens].tolist()
+        firsts = [*np.searchsorted(opens, row_starts).tolist(), len(opens)]
+        passed = ((cond <= CONDITION_LIMIT) & (residual <= RESIDUAL_TOL)).tolist()
+        profiles = []
+        for i, ni in enumerate(lengths):
+            if not passed[i]:
+                fault = _condition_error(ni, cond[i])
+                if cond[i] <= CONDITION_LIMIT:
+                    fault = _residual_error(residual[i])
+                raise NumericalError(f"truncation length {ni}: {fault}")
+            block = strengths[firsts[i] : firsts[i + 1]]
+            total = float(block.sum())
+            profiles.append(PeriodStrengthProfile(tuple(periods[firsts[i] : firsts[i + 1]]), block, total))
+    return profiles
+
+
+def _truncation_residuals(approx, x, sizes, starts) -> np.ndarray:
+    """_relative_residual of each concatenated reconstruction against its truncation x[:Ni].
+
+    approx holds the reconstructions of the sizes back to back, from
+    starts; 0 for an all-zero truncation, nan for one with a non-finite value.
+    """
+    truth = x[np.arange(len(approx)) - np.repeat(starts, sizes)]
+    peaks = np.maximum.accumulate(np.abs(x[: sizes.max()]))[sizes - 1]
+    scale = np.repeat(_unit_scale(peaks), sizes)
+    error = np.add.reduceat(np.abs((approx - truth) * scale) ** 2, starts)
+    norm = np.add.reduceat(np.abs(truth * scale) ** 2, starts)
+    return np.where(peaks == 0.0, 0.0, np.sqrt(error / norm))
 
 
 def frequency_labels(matrix: NestedPeriodicMatrix, frame: float | None = None) -> dict[int, float]:

@@ -67,6 +67,121 @@ def test_range_scan_jobs_match_serial():
         assert np.allclose(a.profile.strengths, b.profile.strengths)
 
 
+def _per_length_profile(x, length):
+    matrix = t.build_ccpt_matrix(length)
+    return t.divisor_strengths(matrix.forward(x[:length]), matrix)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(3, 300),
+    start=st.integers(0, 299),
+    complex_input=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=300, start=0, complex_input=False, seed=0)
+@example(n=257, start=0, complex_input=True, seed=1)
+def test_batched_scan_matches_per_length_solves(n, start, complex_input, seed):
+    n1 = 3 + start % (n - 2)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_input else 0.0)
+    res = e.range_scan(x, n1)
+    assert [rec.length for rec in res.records] == list(range(n1, n + 1))
+    for rec in res.records:
+        want = _per_length_profile(x, rec.length)
+        assert rec.profile.periods == want.periods
+        np.testing.assert_allclose(rec.profile.strengths, want.strengths, rtol=1e-12, atol=0.0)
+        assert rec.profile.total == pytest.approx(want.total, rel=1e-12)
+        assert rec.detected == want.significant()
+
+
+def test_range_scan_builds_no_per_length_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-length matrix or block was built")
+
+    for name in ("build_ccpt_matrix", "basis_block", "_shifted_tilings"):
+        monkeypatch.setattr(t, name, refuse)
+    monkeypatch.setattr(t._CcptMatrix, "__init__", refuse)
+    res = e.range_scan(gen_y2(0), 3)
+    assert len(res.records) == 98
+    assert set(res.detected_at(70)) >= {5, 7}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("index", [0, 40, 99])
+def test_range_scan_names_the_first_length_holding_a_non_finite_sample(index, value):
+    x = gen_y2(0)
+    x[index] = value
+    length = max(index + 1, 3)
+    with pytest.raises(NumericalError, match=rf"^truncation length {length}: forward solve residual nan"):
+        e.range_scan(x, 3)
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_range_scan_names_the_length_whose_residual_fails(monkeypatch, complex_input):
+    x = gen_y2(0) if complex_input else gen_y2(0).real
+    name = "ifft" if complex_input else "irfft"
+    exact = getattr(np.fft, name)
+
+    def perturbed(a, n=None, *args, **kwargs):
+        out = exact(a, n, *args, **kwargs)
+        return out + 1e-6 * np.abs(out).max() if len(out) == 57 else out
+
+    monkeypatch.setattr(np.fft, name, perturbed)
+    with pytest.raises(NumericalError, match=r"^truncation length 57: forward solve residual .* exceeds 1e-09"):
+        e.range_scan(x, 40)
+
+
+def test_range_scan_names_the_first_ill_conditioned_length(monkeypatch):
+    monkeypatch.setattr(t, "CONDITION_LIMIT", 10.0)
+    first = next(n for n in range(3, 101) if t.build_ccpt_matrix(n).condition() > 10.0)
+    pattern = rf"^truncation length {first}: synthesis matrix for N={first} too ill-conditioned"
+    with pytest.raises(NumericalError, match=pattern):
+        e.range_scan(gen_y2(0), 3)
+
+
+def test_range_scan_memory_stays_bounded_at_2048_samples():
+    x = np.random.default_rng(3).standard_normal(2048)
+    tracemalloc.start()
+    try:
+        res = e.range_scan(x, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unchunked batch would hold about 2.1 million samples in several arrays
+    assert peak < 32 * 2**20, peak / 2**20
+    assert len(res.records) == 2046
+    for length in (3, 1024, 2039, 2048):
+        want = _per_length_profile(x, length)
+        got = res.records[length - 3].profile
+        np.testing.assert_allclose(got.strengths, want.strengths, rtol=1e-12, atol=0.0)
+
+
+def test_scan_chunks_cover_the_range_within_the_budget():
+    assert [list(c) for c in e._chunks(3, 10, 12)] == [[3, 4, 5], [6], [7], [8], [9], [10]]
+    for n1, n, budget in ((3, 100, 7), (3, 100, 500), (50, 60, 10**6)):
+        chunks = list(e._chunks(n1, n, budget))
+        assert [ni for c in chunks for ni in c] == list(range(n1, n + 1))
+        assert all(sum(c) <= budget or len(c) == 1 for c in chunks)
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_chunk_boundaries_change_no_result(monkeypatch, complex_input):
+    x = gen_y2(2) if complex_input else gen_y2(2).real
+    whole = e.range_scan(x, 3)
+    batches = []
+    solve = e._truncation_profiles
+    monkeypatch.setattr(e, "_truncation_profiles", lambda x, lengths: batches.append(lengths) or solve(x, lengths))
+    monkeypatch.setattr(e, "_SCAN_CHUNK_SAMPLES", 150)
+    chunked = e.range_scan(x, 3)
+    assert len(batches) > 40 and max(sum(b) for b in batches) <= 150
+    assert chunked.subspace_visits == whole.subspace_visits
+    assert chunked.duplicated_projections == whole.duplicated_projections
+    for a, b in zip(whole.records, chunked.records, strict=True):
+        assert (a.length, a.profile.periods, a.detected) == (b.length, b.profile.periods, b.detected)
+        np.testing.assert_allclose(a.profile.strengths, b.profile.strengths, rtol=1e-13, atol=0.0)
+
+
 def test_default_p_max():
     assert e.default_p_max(100) == 80
     assert e.default_p_max(10) == 8

@@ -39,6 +39,26 @@ def test_ragged_rows_report_line_number(tmp_path):
         sigio.read_signal(path)
 
 
+def test_ragged_rows_fail_even_when_the_field_total_matches(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2\n3\n4,5,6\n")  # 6 fields, as 3 complex rows would have
+    with pytest.raises(SignalIoError, match=r"bad\.csv:2: ragged row has 1 columns, expected 2"):
+        sigio.read_signal(path)
+
+
+def test_first_bad_line_is_reported(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2\nnan,3\n4,5\n6\n")
+    with pytest.raises(SignalIoError, match=r"bad\.csv:2: non-finite"):
+        sigio.read_signal(path)
+
+
+def test_whitespace_around_fields_is_accepted(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text(" 1.5 , -2\n3,\t4 \n")
+    assert np.array_equal(sigio.read_signal(path), [1.5 - 2j, 3 + 4j])
+
+
 def test_parse_failure_reports_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# ok\n1.0\nnot-a-number\n")
