@@ -42,7 +42,8 @@ from .transform import (
 )
 
 RIDGE_LAMBDA = 1e-10
-_SCAN_CHUNK_SAMPLES = 2**16  # the most truncation samples one batched scan solve holds
+# the most truncation samples one batched scan solve holds; larger chunks fall out of cache and run slower
+_SCAN_CHUNK_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)

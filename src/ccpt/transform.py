@@ -390,7 +390,8 @@ def _truncation_profiles(x: np.ndarray, lengths: range) -> list[PeriodStrengthPr
     checked as forward checks it: the closed-form condition, then the
     residual of its reconstruction against x[:Ni], both scaled by the
     power of two nearest 1 / max|x[:Ni]|. The first length that fails
-    raises NumericalError naming it. Memory grows with the sum of lengths.
+    raises NumericalError naming it, as does one whose strengths overflow.
+    Memory grows with the sum of lengths.
     """
     complex_input = np.iscomplexobj(x)
     sizes = np.asarray(lengths)
@@ -447,9 +448,12 @@ def _truncation_profiles(x: np.ndarray, lengths: range) -> list[PeriodStrengthPr
                 if cond[i] <= CONDITION_LIMIT:
                     fault = _residual_error(residual[i])
                 raise NumericalError(f"truncation length {ni}: {fault}")
-            block = strengths[firsts[i] : firsts[i + 1]]
-            total = float(block.sum())
-            profiles.append(PeriodStrengthProfile(tuple(periods[firsts[i] : firsts[i + 1]]), block, total))
+            a, z = firsts[i], firsts[i + 1]
+            try:
+                profile = PeriodStrengthProfile(tuple(periods[a:z]), strengths[a:z], float(strengths[a:z].sum()))
+            except NumericalError as exc:
+                raise NumericalError(f"truncation length {ni}: {exc}") from None
+            profiles.append(profile)
     return profiles
 
 

@@ -324,6 +324,14 @@ def test_overflow_prints_only_the_error_line(tmp_path, capsys, argv):
     assert capsys.readouterr().err == "error: period strengths overflow float64 (total inf)\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_scan_overflow_names_the_length_in_one_line(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text("1e200\n-1e200\n1e200\n-1e200\n")
+    assert run("scan", big, "--n1", 3, "-o", tmp_path / "r.json") == 4
+    assert capsys.readouterr().err == "error: truncation length 3: period strengths overflow float64 (total inf)\n"
+
+
 def test_underdetermined_dictionary_warns_in_one_line(tmp_path):
     # a real process: the test runner would otherwise record the warning instead of printing it
     ramp = tmp_path / "ramp.csv"

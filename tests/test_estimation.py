@@ -132,6 +132,13 @@ def test_range_scan_names_the_length_whose_residual_fails(monkeypatch, complex_i
         e.range_scan(x, 40)
 
 
+@pytest.mark.filterwarnings("error")
+def test_range_scan_names_the_first_length_whose_strengths_overflow():
+    x = np.array([1.0, -1.0, 1.0, 1e200, -1e200, 3e199])  # finite samples, block energies past float64
+    with pytest.raises(NumericalError, match=r"^truncation length 4: period strengths overflow float64"):
+        e.range_scan(x, 3)
+
+
 def test_range_scan_names_the_first_ill_conditioned_length(monkeypatch):
     monkeypatch.setattr(t, "CONDITION_LIMIT", 10.0)
     first = next(n for n in range(3, 101) if t.build_ccpt_matrix(n).condition() > 10.0)
