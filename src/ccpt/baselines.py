@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError
 from .numtheory import _check_positive, _ramanujan_sums, _totients_and_mobius, divisors, totient
@@ -23,6 +23,8 @@ from .transform import (
     BasisBlock,
     NestedPeriodicMatrix,
     PeriodStrengthProfile,
+    _cho_factor,
+    _cho_solve,
     _shifted_tilings,
 )
 
@@ -126,12 +128,13 @@ class _RptMatrix(NestedPeriodicMatrix):
             if len(odd) <= 1:
                 ends[m] = (1.0, float(max(m, 1)))
                 continue
-            lags = _ramanujan_sums(m, np.arange(width), *_totients_and_mobius(m))
-            core = scipy.linalg.toeplitz(lags.astype(float))
+            lags = _ramanujan_sums(m, np.arange(width), *_totients_and_mobius(m)).astype(float)
+            # core[i, j] = lags[|i - j|], row i read from the palindrome lags[width-1..1, 0..width-1] at width - 1 - i
+            core = sliding_window_view(np.concatenate([lags[:0:-1], lags]), width)[::-1].copy()
             eig = np.linalg.eigvalsh(core)
             ends[m] = (eig[0], eig[-1])
             try:
-                factors[m] = scipy.linalg.cho_factor(core, overwrite_a=True)
+                factors[m] = _cho_factor(core)
             except np.linalg.LinAlgError:  # not numerically positive definite: the condition reads inf
                 ends[m] = (0.0, eig[-1])
         self._factors = factors
@@ -155,11 +158,7 @@ class _RptMatrix(NestedPeriodicMatrix):
             b[1::2] *= -1
         odd, _ = self._cores[m]
         if len(odd) > 1:
-            factor = self._factors[m]
-            if np.iscomplexobj(b):
-                b = scipy.linalg.cho_solve(factor, b.real) + 1j * scipy.linalg.cho_solve(factor, b.imag)
-            else:
-                b = scipy.linalg.cho_solve(factor, b)
+            b = _cho_solve(self._factors[m], b)
         elif odd:
             b = (b + b.sum(axis=0)) / m
         if flip:

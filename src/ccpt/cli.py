@@ -25,7 +25,7 @@ import numpy as np
 from . import baselines, estimation, signalgen, sigio, transform
 from .ccps import ccps
 from .errors import NoPeriodicContent, NumericalError, SignalIoError
-from .numtheory import divisors, totient
+from .numtheory import MAX_N, divisors, totient
 from .transform import MAX_BASIS_BYTES
 
 SCHEMA = "ccpt-report/1"
@@ -76,6 +76,14 @@ def _profile_dict(profile: transform.PeriodStrengthProfile) -> dict:
 def _dump_strengths(path, profile: transform.PeriodStrengthProfile) -> None:
     prof = _profile_dict(profile)
     sigio.write_matrix_csv(path, np.column_stack([prof["periods"], prof["raw"], prof["fraction"]]))
+
+
+def _read_input(args) -> np.ndarray:
+    """The command's input signal, refused (a usage error) above MAX_N samples."""
+    x = sigio.read_signal(args.input)
+    if len(x) > MAX_N:
+        raise ValueError(f"{args.command}: {args.input} holds {len(x)} samples; the supported cap is {MAX_N}")
+    return x
 
 
 def _input_meta(path, x: np.ndarray) -> dict:
@@ -177,7 +185,7 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     threshold = _threshold(args)
-    x = sigio.read_signal(args.input)
+    x = _read_input(args)
     n = len(x)
     (values, profile, matrix), elapsed = _timed(_transform, x, args.method)
     magnitudes = np.abs(values)
@@ -218,7 +226,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_scan(args) -> int:
     threshold = _threshold(args)
-    x = sigio.read_signal(args.input)
+    x = _read_input(args)
     result, elapsed = _timed(estimation.range_scan, x, args.n1, threshold, args.jobs)
     doc = {
         "schema": SCHEMA,
@@ -253,7 +261,7 @@ def cmd_scan(args) -> int:
 
 def cmd_dict(args) -> int:
     threshold = _threshold(args)
-    x = sigio.read_signal(args.input)
+    x = _read_input(args)
     n = len(x)
     p_max = args.pmax if args.pmax is not None else estimation.default_p_max(n)
     exponent = args.penalty_exponent
@@ -311,7 +319,7 @@ _CAPABILITIES = {
 
 
 def cmd_compare(args) -> int:
-    x = sigio.read_signal(args.input)
+    x = _read_input(args)
     n = len(x)
     # each run times the region analyze or dict reports as runtime_seconds
     runs = [(method, _transform, (x, method)) for method in ("dft", "rpt", "ccpt")]

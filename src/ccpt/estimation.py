@@ -27,7 +27,6 @@ from math import gcd
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .baselines import _rpt_columns
 from .errors import NumericalError
@@ -37,6 +36,8 @@ from .transform import (
     DEFAULT_THRESHOLD,
     PeriodStrengthProfile,
     _ccpt_columns,
+    _cho_factor,
+    _cho_solve,
     _relative_residual,
     _truncation_profiles,
 )
@@ -355,14 +356,6 @@ class DictionarySolution:
     ridge: float
 
 
-def _solve_spd(factor, rhs: np.ndarray) -> np.ndarray:
-    """G^-1 rhs for the real SPD G; a complex rhs is solved as its real and imaginary parts."""
-    if np.iscomplexobj(rhs):
-        parts = scipy.linalg.cho_solve(factor, np.column_stack([rhs.real, rhs.imag]))
-        return parts[:, 0] + 1j * parts[:, 1]
-    return scipy.linalg.cho_solve(factor, rhs)
-
-
 def _condition(gram: np.ndarray) -> float:
     """2-norm condition number of the symmetric G from its eigenvalues; inf when singular.
 
@@ -384,14 +377,14 @@ def _factor_with_ridge(gram: np.ndarray):
     cond = _condition(gram)
     if cond <= CONDITION_LIMIT:
         try:
-            return scipy.linalg.cho_factor(gram), gram, cond, 0.0
+            return _cho_factor(gram), gram, cond, 0.0
         except np.linalg.LinAlgError:
             pass
     n = gram.shape[0]
     ridge = RIDGE_LAMBDA * float(np.trace(gram)) / n
     gram = gram + ridge * np.eye(n)
     try:
-        return scipy.linalg.cho_factor(gram), gram, cond, ridge
+        return _cho_factor(gram), gram, cond, ridge
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"dictionary system singular beyond ridge recovery (condition estimate {cond:.3e})"
@@ -405,18 +398,22 @@ def dictionary_solve(model: DictionaryModel, x) -> DictionarySolution:
     G = A D^-2 A^H, then b = D^-2 A^H y, all without forming A. If the
     condition estimate of G exceeds the limit or G fails to factor, a ridge
     of RIDGE_LAMBDA * trace(G)/n is added and reported on the solution. The
-    residual is that of A b against x.
+    residual is that of A b against x; a solve that is not finite in
+    float64 (samples near its limit overflow) raises NumericalError.
     """
     x = np.asarray(x)
     if x.shape != (model.n,):
         raise ValueError(f"signal length {x.shape} does not match dictionary length {model.n}")
     operator = _DictionaryOperator(model)
     factor, gram, cond, ridge = _factor_with_ridge(operator.gram())
-    y = _solve_spd(factor, x)
-    # one refinement pass keeps the exact-fit residual near machine level
-    y = y + _solve_spd(factor, x - gram @ y)
-    coefficients = model.penalties**-2.0 * operator.adjoint(y)
-    residual = _relative_residual(operator.synthesize(coefficients), x)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite solve fails below
+        y = _cho_solve(factor, x)
+        # one refinement pass keeps the exact-fit residual near machine level
+        y = y + _cho_solve(factor, x - gram @ y)
+        coefficients = model.penalties**-2.0 * operator.adjoint(y)
+        residual = _relative_residual(operator.synthesize(coefficients), x)
+    if not (np.isfinite(residual) and np.isfinite(coefficients).all()):
+        raise NumericalError(f"dictionary solve is not finite in float64 (residual {residual:.3e})")
     return DictionarySolution(coefficients=coefficients, residual=residual, condition=cond, ridge=ridge)
 
 

@@ -29,6 +29,7 @@ from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .ccps import _samples
 from .errors import NoPeriodicContent, NumericalError
@@ -159,6 +160,70 @@ def _relative_residual(approx, x) -> float:
 def _unit_scale(peak):
     """The power of two nearest 1 / peak, its exponent clipped so that it stays a finite float."""
     return 2.0 ** -np.clip(np.frexp(peak)[1], -1000, 1000)
+
+
+_SOLVE_BLOCK = 64  # most rows of a diagonal block of a Cholesky factor that _cho_factor inverts
+
+
+def _cho_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factor L of the real SPD a, and the inverses of L's diagonal blocks.
+
+    The blocks are s = min(_SOLVE_BLOCK, the power of two >= n) rows each,
+    the last one padded with the identity, so that a solve is a few matrix
+    products per block. Raises np.linalg.LinAlgError when a is not
+    numerically positive definite.
+    """
+    lower = np.linalg.cholesky(a)
+    n = len(lower)
+    size = min(_SOLVE_BLOCK, 1 << (n - 1).bit_length())
+    blocks = np.broadcast_to(np.eye(size), (-(-n // size), size, size)).copy()
+    for block, start in zip(blocks, range(0, n, size)):
+        stop = min(start + size, n)
+        block[: stop - start, : stop - start] = lower[start:stop, start:stop]
+    return lower, _lower_inverses(blocks)
+
+
+def _lower_inverses(blocks: np.ndarray) -> np.ndarray:
+    """Invert a stack of lower-triangular s x s blocks in place, s a power of two, and return it.
+
+    Split as [[A, 0], [B, C]], a block has the inverse [[A^-1, 0], [-C^-1 B A^-1, C^-1]].
+    Starting from 1 / diagonal, each pass turns every 2h x 2h diagonal
+    sub-block into its inverse from the inverses of its h x h halves. For
+    64-row blocks np.linalg.inv, a full LU, takes two to four times as long.
+    """
+    count, s, _ = blocks.shape
+    diagonal = np.einsum("kii->ki", blocks)  # a writeable view
+    diagonal[:] = 1.0 / diagonal
+    stride, row, col = blocks.strides
+    h = 1
+    while h < s:
+        # tiles[:, j] is the j-th 2h x 2h diagonal sub-block of every block
+        tiles = as_strided(blocks, (count, s // (2 * h), 2 * h, 2 * h), (stride, 2 * h * (row + col), row, col))
+        tiles[..., h:, :h] = -(tiles[..., h:, h:] @ tiles[..., h:, :h]) @ tiles[..., :h, :h]
+        h *= 2
+    return blocks
+
+
+def _cho_solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """a^-1 rhs for a 1-D or 2-D rhs, with factor = _cho_factor(a).
+
+    Block forward substitution with L, then block back substitution with
+    L^T, each block through its inverted diagonal block. A complex rhs is
+    solved as its real and imaginary parts.
+    """
+    if np.iscomplexobj(rhs):
+        parts = _cho_solve(factor, np.column_stack([rhs.real, rhs.imag]))
+        half = parts.shape[1] // 2
+        return (parts[:, :half] + 1j * parts[:, half:]).reshape(rhs.shape)
+    lower, inverses = factor
+    n, size = len(lower), inverses.shape[1]
+    cuts = [(start, min(start + size, n), inv) for start, inv in zip(range(0, n, size), inverses)]
+    y = np.array(rhs, dtype=float)
+    for a, z, inv in cuts:
+        y[a:z] = inv[: z - a, : z - a] @ (y[a:z] - lower[a:z, :a] @ y[:a])
+    for a, z, inv in reversed(cuts):
+        y[a:z] = inv[: z - a, : z - a].T @ (y[a:z] - lower[z:, a:z].T @ y[z:])
+    return y
 
 
 def _condition_error(n: int, cond: float) -> NumericalError:

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from ccpt import cli, sigio
 from ccpt.signalgen import gen_y1, gen_y2
@@ -14,6 +13,12 @@ from ccpt.signalgen import gen_y1, gen_y2
 
 def run(*args):
     return cli.main([str(a) for a in args])
+
+
+def _package_env():
+    """The environment for a child process that imports this checkout's ccpt."""
+    path = [str(Path(cli.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 @pytest.fixture
@@ -332,17 +337,65 @@ def test_scan_overflow_names_the_length_in_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: truncation length 3: period strengths overflow float64 (total inf)\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("basis", ["ccpt", "farey", "rpt"])
+def test_dict_overflow_inside_the_solve_exits_4(tmp_path, capsys, basis):
+    # finite samples whose solve overflows float64: a numerical failure of the solve, not a usage error
+    huge = tmp_path / "huge.csv"
+    huge.write_text("1e308\n-1e308\n9e307\n-1e308\n5\n" * 20)
+    out = tmp_path / "d.json"
+    assert run("dict", huge, "--basis", basis, "-o", out) == 4
+    assert capsys.readouterr().err == "error: dictionary solve is not finite in float64 (residual nan)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [("analyze",), ("analyze", "--method", "rpt"), ("scan", "--n1", 95), ("dict",), ("compare",)]
+)
+def test_signal_above_the_cap_is_refused_naming_command_and_file(tmp_path, y2_csv, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "MAX_N", 99)
+    out = tmp_path / "r.json"
+    assert run(argv[0], y2_csv, *argv[1:], "-o", out) == 2
+    assert capsys.readouterr().err == f"error: {argv[0]}: {y2_csv} holds 100 samples; the supported cap is 99\n"
+    assert not out.exists()
+    monkeypatch.setattr(cli, "MAX_N", 100)
+    assert run(argv[0], y2_csv, *argv[1:], "-o", out) == 0
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # a real process: the test modules import scipy themselves
+    x = np.tile(gen_y2(1)[:35], 3) + 0.01 * np.random.default_rng(0).standard_normal(105)
+    sigio.write_signal(tmp_path / "s.csv", x)  # 105 = 3 * 5 * 7 factors the composite RPT cores 15, 21, 35, 105
+    sigio.write_signal(tmp_path / "c.csv", x + 0.5j * x[::-1])
+    runs = [
+        ["analyze", "s.csv", "--method", "rpt"],
+        ["analyze", "c.csv", "--method", "rpt"],
+        ["dict", "s.csv", "--basis", "ccpt"],
+        ["dict", "c.csv", "--basis", "rpt"],
+        ["scan", "s.csv", "--n1", "90"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from ccpt import cli\n"
+        "codes = [cli.main([*argv, '-o', 'r.json']) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        capture_output=True, text=True, env=_package_env(), cwd=tmp_path, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0] * len(runs), []]
+
+
 def test_underdetermined_dictionary_warns_in_one_line(tmp_path):
     # a real process: the test runner would otherwise record the warning instead of printing it
     ramp = tmp_path / "ramp.csv"
     ramp.write_text("".join(f"{i}\n" for i in range(1, 11)))
     out = tmp_path / "d.json"
-    src = Path(cli.__file__).parents[1]
-    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
         [sys.executable, "-m", "ccpt.cli", "dict", str(ramp), "--pmax", "1", "-o", str(out)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_package_env(), timeout=60,
     )
     assert done.returncode == 0
     assert done.stderr == (
@@ -424,7 +477,7 @@ def test_dict_exits_4_when_ridge_cannot_recover(tmp_path, y2_csv, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+    monkeypatch.setattr(np.linalg, "cholesky", singular)
     assert run("dict", y2_csv, "-o", tmp_path / "d.json") == 4
 
 

@@ -244,8 +244,8 @@ def test_ridge_added_when_gram_is_ill_conditioned():
     assert sol.ridge == pytest.approx(1e-10 * np.trace(gram) / 10, rel=1e-12)
 
 
-def _failing_cho_factor(monkeypatch, failures):
-    real = scipy.linalg.cho_factor
+def _failing_cholesky(monkeypatch, failures):
+    real = np.linalg.cholesky
     calls = []
 
     def flaky(matrix, *args, **kwargs):
@@ -254,14 +254,14 @@ def _failing_cho_factor(monkeypatch, failures):
             raise np.linalg.LinAlgError("not positive definite")
         return real(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", flaky)
+    monkeypatch.setattr(np.linalg, "cholesky", flaky)
     return calls
 
 
 def test_ridge_added_when_cholesky_fails(monkeypatch):
     model = e.build_dictionary(20, 12)
     x = gen_tiled_ccps(5, 1, 20)
-    calls = _failing_cho_factor(monkeypatch, failures=1)
+    calls = _failing_cholesky(monkeypatch, failures=1)
     sol = e.dictionary_solve(model, x)
     assert sol.condition <= 1e12
     trace = np.trace(calls[0])
@@ -272,7 +272,7 @@ def test_ridge_added_when_cholesky_fails(monkeypatch):
 
 def test_solve_raises_when_ridge_cannot_recover(monkeypatch):
     model = e.build_dictionary(20, 12)
-    calls = _failing_cho_factor(monkeypatch, failures=2)
+    calls = _failing_cholesky(monkeypatch, failures=2)
     with pytest.raises(NumericalError, match="beyond ridge recovery"):
         e.dictionary_solve(model, np.ones(20))
     assert len(calls) == 2
@@ -288,6 +288,20 @@ def test_build_dictionary_rejects_bad_args():
         e.build_dictionary(10, 0)
     with pytest.raises(ValueError):
         e.build_dictionary(10, 8, basis="wavelet")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("basis", ["ccpt", "farey", "rpt"])
+@pytest.mark.parametrize("fault", ["overflow", "nan"])
+def test_dictionary_solve_fails_closed_when_not_finite(basis, fault):
+    # finite samples near the float64 limit overflow inside the solve; a nan sample poisons it
+    x = np.resize([1e308, -1e308, 9e307, -1e308, 5.0], 100)
+    if fault == "nan":
+        x = gen_y2(0)
+        x[40] = np.nan
+    model = e.build_dictionary(100, e.default_p_max(100), basis=basis)
+    with pytest.raises(NumericalError, match=r"^dictionary solve is not finite in float64 \(residual nan\)$"):
+        e.dictionary_solve(model, x)
 
 
 def test_dictionary_solve_zero_signal():

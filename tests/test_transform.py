@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ccpt import transform as t
@@ -312,3 +313,41 @@ def test_ccpt_transform_needs_no_block_tables():
     beta = m.forward(x).values
     assert not beta.imag.any()
     assert np.linalg.norm(m.inverse(beta) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 100, 129, 400])
+def test_cho_solve_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    spd = a @ a.T + n * np.eye(n)
+    factor, oracle = t._cho_factor(spd), scipy.linalg.cho_factor(spd)
+    assert np.array_equal(factor[0], np.tril(factor[0]))
+    assert np.allclose(factor[0] @ factor[0].T, spd, rtol=0, atol=1e-12 * n * n)
+    rhs = rng.standard_normal((n, 3))
+    for b in (rhs[:, 0], rhs[:, 1:], rhs[:, 0] + 1j * rhs[:, 1], rhs[:, :2] + 1j * rhs[:, 1:]):
+        kept = b.copy()
+        got, want = t._cho_solve(factor, b), scipy.linalg.cho_solve(oracle, b)
+        assert got.shape == b.shape and np.iscomplexobj(got) == np.iscomplexobj(b)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(b, kept)
+
+
+def test_cho_solve_forward_error_tracks_scipy_at_condition_1e9():
+    rng = np.random.default_rng(9)
+    n = 150
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spd = (q * np.logspace(0, -9, n)) @ q.T
+    spd = (spd + spd.T) / 2
+    assert np.linalg.cond(spd) == pytest.approx(1e9, rel=0.01)
+    truth = rng.standard_normal((n, 2))
+    b = spd @ truth
+    error = lambda y: np.linalg.norm(y - truth) / np.linalg.norm(truth)
+    ours = error(t._cho_solve(t._cho_factor(spd), b))
+    theirs = error(scipy.linalg.cho_solve(scipy.linalg.cho_factor(spd), b))
+    assert ours <= 4 * theirs
+    assert ours < 1e-6
+
+
+def test_cho_factor_refuses_a_matrix_that_is_not_positive_definite():
+    with pytest.raises(np.linalg.LinAlgError):
+        t._cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
