@@ -142,12 +142,16 @@ class _RptMatrix(NestedPeriodicMatrix):
         return np.sqrt(self.n * np.clip(squares, 0.0, None))
 
     def _solve(self, spectrum: np.ndarray, complex_input: bool) -> np.ndarray:
-        """Each block's right-hand side W^H F_p from its bins, then its reduced solve."""
+        """Each block's right-hand side W^H F_p from its bins, then its reduced solve.
+
+        For real x the spectrum is the half one, which holds bins 0..p/2 of F_p.
+        """
         n = self.n
         values = []
         for p, s, m, flip, primitive in self._plan:
-            bins = spectrum[:: n // p] * primitive
-            rhs = p * (np.fft.ifft(bins) if complex_input else np.fft.irfft(bins[: p // 2 + 1], p))
+            bins = spectrum[:: n // p]
+            bins = bins * primitive[: len(bins)]
+            rhs = p * (np.fft.ifft(bins) if complex_input else np.fft.irfft(bins, p))
             values.append(self._block_solve(rhs[: self.spans[p].stop - self.spans[p].start], s, m, flip))
         return np.concatenate(values) + 0j
 
@@ -165,13 +169,13 @@ class _RptMatrix(NestedPeriodicMatrix):
             b[1::2] *= -1
         return b.ravel()
 
-    def _synthesize(self, values: np.ndarray) -> np.ndarray:
+    def _synthesize(self, values: np.ndarray, complex_values: bool) -> np.ndarray:
         """X on each block's bins from one length-p FFT of its coefficients, then one inverse FFT."""
         n = self.n
         spectrum = np.zeros(n, dtype=complex)
         for p, _, _, _, primitive in self._plan:
             spectrum[:: n // p][primitive] = np.fft.fft(values[self.spans[p]], p)[primitive]
-        if not values.imag.any():
+        if not complex_values:
             return np.fft.irfft(spectrum[: n // 2 + 1], n) * n
         return np.fft.ifft(spectrum) * n
 

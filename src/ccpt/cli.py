@@ -121,9 +121,10 @@ def _transform(x, method: str):
 
 def _fit(x, basis: str, p_max: int, exponent: float = 2.0):
     """Penalized dictionary fit with f(p) = p^exponent: (model, solution, profile)."""
-    model = estimation.build_dictionary(
-        len(x), p_max, penalty=lambda p: float(p) ** exponent, basis=basis
-    )
+    try:  # p_max and basis were checked when parsed, so the penalty is what can fail
+        model = estimation.build_dictionary(len(x), p_max, penalty=lambda p: float(p) ** exponent, basis=basis)
+    except ValueError as exc:
+        raise ValueError(f"--penalty-exponent {exponent:g}: {exc}") from None
     solution = estimation.dictionary_solve(model, x)
     return model, solution, estimation.dictionary_strength_profile(solution, model)
 
@@ -252,7 +253,7 @@ def cmd_scan(args) -> int:
         lines = ["length,detected"]
         for rec in result.records:
             lines.append(f"{rec.length},{';'.join(str(p) for p in rec.detected)}")
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        sigio.write_text(args.csv, "\n".join(lines) + "\n")
     return _finish(args, doc, "ok")
 
 

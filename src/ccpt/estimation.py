@@ -202,6 +202,9 @@ def build_dictionary(
     length n with the final repetition truncated when p does not divide
     n. The penalty defaults to f(p) = p^2. Only the layout and the
     penalties are recorded; the matrix is built when `matrix` is read.
+    Raises ValueError naming the first p whose f(p) is not finite and > 0
+    (an f(p) that overflows float reads inf) or whose weight f(p)^-2
+    overflows; a weight that underflows to 0 is kept.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -218,16 +221,30 @@ def build_dictionary(
             "the exact-fit constraint may be infeasible",
             stacklevel=2,
         )
-    penalties = np.array([float(penalty(p)) for p in periods])
+    penalties = np.array([_penalty_value(penalty, p) for p in periods])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        weights = penalties**-2.0
+        bad = np.flatnonzero(~(np.isfinite(penalties) & (penalties > 0) & np.isfinite(weights)))
+    if len(bad):
+        p = int(bad[0]) + 1
+        raise ValueError(f"penalty f({p}) = {penalties[p - 1]:.6g} must be finite and > 0 with a finite f({p})^-2")
     return DictionaryModel(
         n=n,
         p_max=p_max,
         basis=basis,
         column_periods=np.repeat(periods, widths),
         penalties=np.repeat(penalties, widths),
-        weights=penalties**-2.0,
+        weights=weights,
         spans={p: slice(a, b) for p, a, b in zip(periods, starts, starts[1:])},
     )
+
+
+def _penalty_value(penalty: Callable[[int], float], p: int) -> float:
+    """float(penalty(p)), or inf when computing it overflows a float."""
+    try:
+        return float(penalty(p))
+    except OverflowError:
+        return np.inf
 
 
 def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:

@@ -78,7 +78,6 @@ def _raise_first_bad_row(path: Path, rows: list[tuple[int, str]]) -> None:
 def write_signal(path, x) -> None:
     """Write a signal as CSV; complex data gets (real, imaginary) columns."""
     x = np.asarray(x)
-    path = Path(path)
     lines = []
     if np.iscomplexobj(x):
         for v in x:
@@ -86,10 +85,7 @@ def write_signal(path, x) -> None:
     else:
         for v in x:
             lines.append(FLOAT_FMT % v)
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise SignalIoError(f"{path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def column_label(label: tuple) -> str:
@@ -103,16 +99,12 @@ def column_label(label: tuple) -> str:
 def write_matrix_csv(path, matrix, labels=None) -> None:
     """Row-major CSV dump of a matrix with an optional label header row."""
     matrix = np.asarray(matrix)
-    path = Path(path)
     lines = []
     if labels is not None:
         lines.append(",".join(column_label(lab) for lab in labels))
     for row in np.atleast_2d(matrix):
         lines.append(",".join(FLOAT_FMT % v for v in row))
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise SignalIoError(f"{path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def canonical_json(obj) -> str:
@@ -124,7 +116,12 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
+    write_text(path, canonical_json(obj))
+
+
+def write_text(path, text: str) -> None:
+    """Write text as UTF-8; an unwritable path raises SignalIoError naming it."""
     try:
-        Path(path).write_text(canonical_json(obj), encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise SignalIoError(f"{path}: {exc}") from exc

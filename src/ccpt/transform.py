@@ -14,9 +14,11 @@ gcd(r, p) = 1, which no other block meets. Let X = fft(x)/N.
   sequence and its downshift satisfy X[m] = alpha + beta e^{-j theta} and
   X[N-m] = alpha + beta e^{j theta}, theta = 2 pi k / p. So a transform is
   one FFT plus this two-term map per pair, and the singular values of T are
-  sqrt(N) for p <= 2 and sqrt(2N(1 -+ cos theta)) for p >= 3. The range
-  scan (_truncation_profiles) applies the same pair formulas to many
-  lengths at once, from one pair table.
+  sqrt(N) for p <= 2 and sqrt(2N(1 -+ cos theta)) for p >= 3. A real x has
+  a Hermitian X and real alpha, beta: its transform reads only the N/2 + 1
+  bins of rfft(x), and its reconstruction check rebuilds only those bins
+  for one irfft. The range scan (_truncation_profiles) applies the same
+  pair formulas to many lengths at once, from one pair table.
 - RPT (baselines.build_rpt_matrix) is solved block by block: with W the
   rows r of fft(table_p)/p, block p solves W beta_p = X[(N/p) r] through
   the normal equations T_p beta_p = W^H X[(N/p) r], T_p[l, l'] =
@@ -24,6 +26,7 @@ gcd(r, p) = 1, which no other block meets. Let X = fft(x)/N.
   core per odd squarefree radical (see baselines._RptMatrix).
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -102,7 +105,7 @@ class PeriodStrengthProfile:
     total: float
 
     def __post_init__(self):
-        if not np.isfinite(self.total):
+        if not math.isfinite(self.total):
             raise NumericalError(f"period strengths overflow float64 (total {self.total})")
 
     def fractions(self) -> np.ndarray:
@@ -116,12 +119,10 @@ class PeriodStrengthProfile:
 
     def significant(self, threshold: float = DEFAULT_THRESHOLD) -> tuple[int, ...]:
         """Periods whose strength reaches `threshold` times the peak strength."""
-        peak = float(self.strengths.max(initial=0.0))
+        peak = self.strengths.max(initial=0.0)
         if peak <= 0.0:
             return ()
-        return tuple(
-            int(p) for p, s in zip(self.periods, self.strengths) if s >= threshold * peak
-        )
+        return tuple(np.asarray(self.periods)[self.strengths >= threshold * peak].tolist())
 
 
 @dataclass(frozen=True)
@@ -154,12 +155,13 @@ def _relative_residual(approx, x) -> float:
     if peak == 0.0:
         return 0.0
     scale = _unit_scale(peak)
-    return float(np.linalg.norm((approx - x) * scale) / np.linalg.norm(x * scale))
+    error, x = (approx - x) * scale, x * scale
+    return float(np.sqrt(np.vdot(error, error).real / np.vdot(x, x).real))
 
 
 def _unit_scale(peak):
-    """The power of two nearest 1 / peak, its exponent clipped so that it stays a finite float."""
-    return 2.0 ** -np.clip(np.frexp(peak)[1], -1000, 1000)
+    """The power of two nearest 1 / peak, its exponent clipped to [-1000, 1000] so that it stays a finite float."""
+    return 2.0 ** -np.maximum(np.minimum(np.frexp(peak)[1], 1000), -1000)
 
 
 _SOLVE_BLOCK = 64  # most rows of a diagonal block of a Cholesky factor that _cho_factor inverts
@@ -242,9 +244,10 @@ class NestedPeriodicMatrix:
     This class holds the layout: spans, labels, column index, and the
     dense matrix on request. The bases' subclasses solve it through three
     hooks: _singular_values (all singular values, or at least the extreme
-    ones), _solve (coefficients from X = fft(x)/N) and _synthesize (the
-    matrix times coefficients). condition() runs the first hook once, so a
-    shared instance can serve concurrent read-only transforms.
+    ones), _solve (coefficients from X = fft(x)/N, or rfft(x)/N for real x)
+    and _synthesize (the matrix times coefficients, on the half spectrum when
+    they are real). condition() runs the first hook once, so a shared
+    instance can serve concurrent read-only transforms.
     """
 
     def __init__(self, blocks: list[BasisBlock], kind: str = "ccpt"):
@@ -268,9 +271,14 @@ class NestedPeriodicMatrix:
         """The dense N x N matrix, built on each call."""
         return np.concatenate([b.matrix for b in self.blocks], axis=1)
 
-    @property
+    @cached_property
     def divisors(self) -> tuple[int, ...]:
         return tuple(self.spans)
+
+    @cached_property
+    def _block_starts(self) -> np.ndarray:
+        """Each block's first column, in divisor order."""
+        return np.array([span.start for span in self.spans.values()])
 
     @cached_property
     def index(self) -> dict[tuple, int]:
@@ -300,11 +308,13 @@ class NestedPeriodicMatrix:
         if x.shape != (self.n,):
             raise ValueError(f"signal length {x.shape} does not match matrix size {self.n}")
         cond = self.condition()
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        if not cond <= CONDITION_LIMIT:  # nan and inf included
             raise _condition_error(self.n, cond)
+        complex_input = np.iscomplexobj(x)
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite values fail the check below
-            values = self._solve(np.fft.fft(x) / self.n, np.iscomplexobj(x))
-            residual = _relative_residual(self.inverse(values), x)
+            spectrum = np.fft.fft(x) if complex_input else np.fft.rfft(x)
+            values = self._solve(spectrum / self.n, complex_input)
+            residual = _relative_residual(self._synthesize(values, complex_input), x)
         if not residual <= RESIDUAL_TOL:
             raise _residual_error(residual)
         return CoefficientVector(n=self.n, values=values, spans=self.spans)
@@ -314,7 +324,8 @@ class NestedPeriodicMatrix:
         values = beta.values if isinstance(beta, CoefficientVector) else np.asarray(beta)
         if values.shape != (self.n,):
             raise ValueError(f"coefficient length {values.shape} does not match {self.n}")
-        return self._synthesize(values)
+        complex_values = np.iscomplexobj(values) and values.imag.any()
+        return self._synthesize(values, complex_values).astype(np.result_type(values, float), copy=False)
 
 
 def _pair_table(lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -351,9 +362,9 @@ def _pair_solve(xm, xn, cos, sin) -> tuple[np.ndarray, np.ndarray]:
     return xm - beta * (cos - 1j * sin), beta
 
 
-def _pair_spectrum(alpha, beta, cos, sin, sign: int = 1) -> np.ndarray:
-    """Each pair's bin X[m] = alpha + beta e^{-j theta}; sign = -1 gives X[N - m]."""
-    return alpha + beta * (cos - sign * 1j * sin)
+def _pair_spectrum(alpha, beta, phase) -> np.ndarray:
+    """Each pair's bin X[m] = alpha + beta phase for phase = e^{-j theta}; its conjugate gives X[N - m]."""
+    return alpha + beta * phase
 
 
 def _pair_singular_values(half) -> tuple[np.ndarray, np.ndarray]:
@@ -365,10 +376,11 @@ class _CcptMatrix(NestedPeriodicMatrix):
     """The cosine-pair matrix, solved in closed form from its pair table.
 
     The table (_pair_table) has one row per conjugate pair: period p, index
-    k, DFT bin m = kN/p for m = 0..N/2, sorted by (p, k). A row with p >= 3
-    owns the columns (k, 0) and (k, 1) at its offset, any other row one
-    column; the rows with p <= 2 come first. Blocks and labels are built
-    only when read.
+    k, DFT bin m = kN/p for m = 0..N/2, sorted by (p, k). The rows with
+    p <= 2 come first and own one column each; then each row with p >= 3
+    owns the columns (k, 0) and (k, 1), alpha and beta, so the alphas sit
+    at every other column from the first pair's on. Blocks and labels are
+    built only when read.
     """
 
     def __init__(self, n: int):
@@ -383,9 +395,9 @@ class _CcptMatrix(NestedPeriodicMatrix):
         self.n = n
         self.spans = {q: slice(a, z) for q, a, z in zip([1, *p[starts].tolist()], bounds, bounds[1:])}
         self._periods, self._ks = p, k
-        self._single_bins = m[:single]
-        self._pair_bins, self._pair_cols = m[single:], offset[single:]
+        self._single_bins, self._pair_bins = m[:single], m[single:]
         self._half, self._cos, self._sin = _pair_angles(p[single:], k[single:])
+        self._phase = self._cos - 1j * self._sin
         self._cond = None
 
     @cached_property
@@ -403,32 +415,27 @@ class _CcptMatrix(NestedPeriodicMatrix):
         return np.sqrt(self.n) * np.concatenate([single, *_pair_singular_values(self._half)])
 
     def _solve(self, spectrum: np.ndarray, complex_input: bool) -> np.ndarray:
-        """alpha, beta of every pair from X[m] and X[N-m]; the real form for real x."""
-        values = np.zeros(self.n, dtype=complex)
-        single = spectrum[self._single_bins]
-        xm = spectrum[self._pair_bins]
-        if complex_input:
-            alpha, beta = _pair_solve(xm, spectrum[self.n - self._pair_bins], self._cos, self._sin)
-        else:
-            single = single.real
-            alpha, beta = _pair_solve(xm, None, self._cos, self._sin)
-        values[: len(single)] = single
-        values[self._pair_cols] = alpha
-        values[self._pair_cols + 1] = beta
+        """alpha, beta of every pair from X[m] and X[N-m]; the real form, from X[m] alone, for real x."""
+        single = len(self._single_bins)
+        values = np.empty(self.n, dtype=complex)
+        xn = spectrum[self.n - self._pair_bins] if complex_input else None
+        values[:single] = spectrum[self._single_bins] if complex_input else spectrum[self._single_bins].real
+        values[single::2], values[single + 1 :: 2] = _pair_solve(spectrum[self._pair_bins], xn, self._cos, self._sin)
         return values
 
-    def _synthesize(self, values: np.ndarray) -> np.ndarray:
-        """X from the coefficients, then one inverse FFT (a real one for real coefficients)."""
-        n = self.n
-        alpha, beta = values[self._pair_cols], values[self._pair_cols + 1]
-        spectrum = np.zeros(n, dtype=complex)
-        spectrum[self._single_bins] = values[: len(self._single_bins)]
-        spectrum[self._pair_bins] = _pair_spectrum(alpha, beta, self._cos, self._sin)
-        dtype = np.result_type(values, float)
-        if not np.iscomplexobj(values) or not values.imag.any():
-            return (np.fft.irfft(spectrum[: n // 2 + 1], n) * n).astype(dtype, copy=False)
-        spectrum[n - self._pair_bins] = _pair_spectrum(alpha, beta, self._cos, self._sin, -1)
-        return np.fft.ifft(spectrum) * n
+    def _synthesize(self, values: np.ndarray, complex_values: bool) -> np.ndarray:
+        """X from the coefficients, then one inverse FFT: the real one, on bins 0..N/2, for real ones."""
+        n, single = self.n, len(self._single_bins)
+        if not complex_values:
+            values = values.real
+        alpha, beta = values[single::2], values[single + 1 :: 2]
+        spectrum = np.empty(n if complex_values else n // 2 + 1, dtype=complex)  # the pairs fill every bin
+        spectrum[self._single_bins] = values[:single]
+        spectrum[self._pair_bins] = _pair_spectrum(alpha, beta, self._phase)
+        if not complex_values:
+            return np.fft.irfft(spectrum, n, norm="forward")
+        spectrum[n - self._pair_bins] = _pair_spectrum(alpha, beta, self._phase.conj())
+        return np.fft.ifft(spectrum, norm="forward")
 
 
 def build_ccpt_matrix(n: int) -> NestedPeriodicMatrix:
@@ -438,12 +445,11 @@ def build_ccpt_matrix(n: int) -> NestedPeriodicMatrix:
 
 def divisor_strengths(beta: CoefficientVector, matrix: NestedPeriodicMatrix) -> PeriodStrengthProfile:
     """Absolute square sum of each block's coefficients, one entry per divisor."""
-    periods = matrix.divisors
-    starts = [matrix.spans[p].start for p in periods]
+    values = beta.values
     with np.errstate(over="ignore"):  # an overflow reads inf, which the profile refuses
-        strengths = np.add.reduceat(np.abs(beta.values) ** 2, starts)
+        strengths = np.add.reduceat(values.real**2 + values.imag**2, matrix._block_starts)
         total = float(strengths.sum())
-    return PeriodStrengthProfile(periods=periods, strengths=strengths, total=total)
+    return PeriodStrengthProfile(periods=matrix.divisors, strengths=strengths, total=total)
 
 
 def _truncation_profiles(x: np.ndarray, lengths: range) -> list[PeriodStrengthProfile]:
@@ -472,10 +478,12 @@ def _truncation_profiles(x: np.ndarray, lengths: range) -> list[PeriodStrengthPr
     width = np.where(pair, 2, 1)
     column = np.cumsum(width) - width  # each row's first coefficient; a pair's beta is the next
     half, cos, sin = _pair_angles(p[pair], k[pair])
+    phase = cos - 1j * sin
+    fft = np.fft.fft if complex_input else np.fft.rfft  # the bins forward solves from
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # non-finite values fail below
         spectrum = np.empty(int(bins.sum()), dtype=complex)
         for ni, _, a, z in cuts:
-            spectrum[a:z] = np.fft.fft(x[:ni])[: z - a]  # fft, not rfft: the bins forward solves from
+            spectrum[a:z] = fft(x[:ni])
         xm = spectrum[pos] / n
         coef, xn = xm.real, None
         if complex_input:
@@ -484,9 +492,9 @@ def _truncation_profiles(x: np.ndarray, lengths: range) -> list[PeriodStrengthPr
         alpha, beta = _pair_solve(xm[pair], xn, cos, sin)
         synthesis = np.zeros_like(spectrum)
         synthesis[pos] = coef
-        synthesis[pos[pair]] = _pair_spectrum(alpha, beta, cos, sin)
+        synthesis[pos[pair]] = _pair_spectrum(alpha, beta, phase)
         if complex_input:
-            synthesis[mirror] = _pair_spectrum(alpha, beta, cos, sin, -1)
+            synthesis[mirror] = _pair_spectrum(alpha, beta, phase.conj())
         approx = np.empty(int(sizes.sum()), dtype=synthesis.dtype if complex_input else float)
         inverse = np.fft.ifft if complex_input else np.fft.irfft
         for ni, s, a, z in cuts:
@@ -502,7 +510,7 @@ def _truncation_profiles(x: np.ndarray, lengths: range) -> list[PeriodStrengthPr
         values[column] = coef
         values[column[pair]], values[column[pair] + 1] = alpha, beta
         opens = np.flatnonzero((np.diff(p, prepend=0) != 0) | (np.diff(which, prepend=-1) != 0))
-        strengths = np.add.reduceat(np.abs(values) ** 2, column[opens])
+        strengths = np.add.reduceat(values.real**2 + values.imag**2, column[opens])
         periods = p[opens].tolist()
         firsts = [*np.searchsorted(opens, row_starts).tolist(), len(opens)]
         passed = ((cond <= CONDITION_LIMIT) & (residual <= RESIDUAL_TOL)).tolist()

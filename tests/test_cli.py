@@ -552,6 +552,37 @@ def test_gen_invalid_tiled_pair_names_flag(tmp_path, capsys, pair):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("basis", ["ccpt", "farey", "rpt"])
+@pytest.mark.parametrize("exponent", ["170", "-100"])
+def test_penalty_exponent_beyond_float_range_exits_2(tmp_path, y2_csv, capsys, basis, exponent):
+    # f(p) = p^170 overflows a float at p = 66; the weights p^200 of -100 overflow from p = 35
+    out = tmp_path / "d.json"
+    assert run("dict", y2_csv, f"--penalty-exponent={exponent}", "--basis", basis, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: --penalty-exponent {exponent}: penalty f(")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("basis", ["ccpt", "farey", "rpt"])
+def test_penalty_exponent_whose_weights_underflow_still_fits(tmp_path, y2_csv, capsys, basis):
+    out = tmp_path / "d.json"
+    assert run("dict", y2_csv, "--penalty-exponent", "100", "--basis", basis, "-o", out) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["penalty_exponent"] == 100.0
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/rows.csv"])
+def test_unwritable_scan_csv_is_io_error(tmp_path, y2_csv, capsys, target):
+    path = tmp_path / target
+    if target == "dir":
+        path.mkdir()
+    assert run("scan", y2_csv, "--n1", 90, "--csv", path, "-o", tmp_path / "r.json") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+
+
 def test_unwritable_report_is_io_error(tmp_path, y1_csv, capsys):
     assert run("analyze", y1_csv, "-o", tmp_path / "missing" / "r.json") == 3
     assert "r.json" in capsys.readouterr().err

@@ -95,6 +95,18 @@ def test_batched_scan_matches_per_length_solves(n, start, complex_input, seed):
         assert rec.detected == want.significant()
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_real_scan_strengths_equal_per_length_forward(seed):
+    # the scan solves from the same rfft bins as forward, so its strengths agree bit for bit
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(64) * 10.0 ** rng.integers(-100, 100)
+    for ni, profile in zip(range(1, 65), t._truncation_profiles(x, range(1, 65))):
+        want = _per_length_profile(x, ni)
+        assert profile.periods == want.periods
+        assert np.array_equal(profile.strengths, want.strengths)
+        assert profile.total == want.total
+
+
 def test_range_scan_builds_no_per_length_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a per-length matrix or block was built")
@@ -419,6 +431,39 @@ def test_custom_penalty_function():
 
 
 BASES = ("ccpt", "farey", "rpt")
+
+
+def _overflowing_penalty(p):
+    if p == 7:
+        raise OverflowError("(34, 'Numerical result out of range')")
+    return 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize(
+    "penalty, bad",
+    [
+        pytest.param(lambda p: float(p) ** -100, 35, id="weight-overflows"),  # from f(35)^-2 on
+        pytest.param(_overflowing_penalty, 7, id="penalty-overflows"),
+        pytest.param(lambda p: 0.0 if p == 4 else 1.0, 4, id="zero"),
+        pytest.param(lambda p: -1.0 if p == 5 else 1.0, 5, id="negative"),
+        pytest.param(lambda p: np.nan if p == 3 else 1.0, 3, id="nan"),
+        pytest.param(lambda p: np.inf if p == 9 else 1.0, 9, id="inf"),
+    ],
+)
+def test_build_dictionary_refuses_a_penalty_outside_float_range(basis, penalty, bad):
+    with pytest.raises(ValueError, match=rf"penalty f\({bad}\) = "):
+        e.build_dictionary(100, 80, penalty=penalty, basis=basis)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("basis", BASES)
+def test_penalty_weights_that_underflow_to_zero_still_solve(basis):
+    model = e.build_dictionary(100, 80, penalty=lambda p: float(p) ** 100, basis=basis)
+    assert model.weights[-1] == 0.0 and model.weights[0] == 1.0
+    solution = e.dictionary_solve(model, gen_y2(0))
+    assert np.isfinite(solution.coefficients).all() and np.isfinite(solution.residual)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -129,6 +130,101 @@ def test_real_input_gives_real_coefficients():
     m = t.build_ccpt_matrix(24)
     beta = m.forward(rng.standard_normal(24))
     assert np.abs(beta.values.imag).max() < 1e-9
+
+
+def test_real_forward_takes_one_rfft_and_one_irfft(monkeypatch):
+    calls = []
+    fft_module = dict(vars(np.fft))
+
+    def counted(name):
+        def call(a, *args, **kwargs):
+            calls.append(name)
+            if name in ("fft", "ifft") and not np.iscomplexobj(a):
+                raise AssertionError(f"np.fft.{name} on real input")
+            return fft_module[name](a, *args, **kwargs)
+
+        return call
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 12, 720, 1001):
+        m = t.build_ccpt_matrix(n)
+        m.condition()
+        calls.clear()
+        beta = m.forward(rng.standard_normal(n))
+        assert calls == ["rfft", "irfft"]
+        assert beta.values.dtype == complex and not beta.values.imag.any()
+        calls.clear()
+        m.forward(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        assert calls == ["fft", "ifft"]
+
+
+@pytest.mark.parametrize("kind", ["ccpt", "rpt"])
+def test_inverse_keeps_the_coefficient_dtype(kind):
+    # real coefficients synthesize through the half spectrum, complex ones through the full one
+    m = t.build_ccpt_matrix(30) if kind == "ccpt" else build_rpt_matrix(30)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(30)
+    beta = m.forward(x)
+    assert m.inverse(beta.values.real).dtype == float
+    assert m.inverse(beta).dtype == complex
+    np.testing.assert_allclose(m.inverse(beta).real, x, rtol=0, atol=1e-12)
+    z = x + 1j * rng.standard_normal(30)
+    np.testing.assert_allclose(m.inverse(m.forward(z)), z, rtol=0, atol=1e-12)
+
+
+def _reference_unit_scale(peak: float) -> float:
+    return math.ldexp(1.0, -min(max(math.frexp(peak)[1], -1000), 1000))
+
+
+@pytest.mark.parametrize(
+    "peak",
+    [2.0**-1074, 1e-300, 0.75, 1.0, 1e300, 2.0**-1001, 2.0**-1002, 2.0**999, 2.0**1000, np.finfo(float).max],
+)
+def test_unit_scale_is_one_definition_for_scalars_and_arrays(peak):
+    # 2^-1001 and 2^999 have the frexp exponents -1000 and 1000, the clip edges; their neighbours are clipped
+    scalar = t._unit_scale(np.float64(peak))
+    array = t._unit_scale(np.array([peak, peak]))
+    assert float(scalar) == _reference_unit_scale(peak)
+    assert array.tolist() == [_reference_unit_scale(peak)] * 2
+    assert math.isfinite(scalar)
+
+
+def _loop_significant(profile, threshold):
+    peak = float(profile.strengths.max(initial=0.0))
+    if peak <= 0.0:
+        return ()
+    return tuple(int(p) for p, s in zip(profile.periods, profile.strengths) if s >= threshold * peak)
+
+
+@pytest.mark.parametrize(
+    "strengths, threshold",
+    [
+        ([4.0, 1.0, 0.999999, 1.0000001, 0.0, 4.0], 0.25),  # ties at threshold * peak and at the peak
+        ([1.0, 0.05, np.nextafter(0.05, 0.0), 0.3], 0.05),
+        ([3.0, 0.3, 0.30000000000000004, 0.0], 0.1),  # 0.1 * 3 rounds up to 0.30000000000000004
+        ([0.0, 0.0, 0.0, 0.0], 0.05),
+        ([0.0], 1.0),
+        ([2.0**-1074, 0.0, 2.0**-1074], 1.0),
+    ],
+)
+def test_significant_equals_the_loop_definition(strengths, threshold):
+    periods = tuple(range(1, 2 * len(strengths), 2))
+    strengths = np.array(strengths)
+    profile = t.PeriodStrengthProfile(periods=periods, strengths=strengths, total=float(strengths.sum()))
+    got = profile.significant(threshold)
+    assert got == _loop_significant(profile, threshold)
+    assert all(type(p) is int for p in got)
+
+
+def test_significant_matches_the_loop_on_random_profiles():
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        strengths = rng.choice([0.0, 0.05, 0.25, 1.0], size=12) * rng.choice([1.0, 3.0, 1e-300, 1e300])
+        profile = t.PeriodStrengthProfile(tuple(range(1, 13)), strengths, float(strengths.sum()))
+        for threshold in (0.05, 0.25, 1.0):
+            assert profile.significant(threshold) == _loop_significant(profile, threshold)
 
 
 def test_invertibility_across_lengths():
