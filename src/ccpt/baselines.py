@@ -2,16 +2,16 @@
 
 The Ramanujan matrix shares the nested block layout of the cosine-pair
 matrix but spans each period-p block with the integer Ramanujan sequence
-and its first totient(p)-1 circular downshifts; its transform is solved on
-reduced Ramanujan-sum Toeplitz cores (_RptMatrix). The DFT is computed by
-FFT; the multiplication counts stay analytic counts of direct O(N^2)
-evaluation, which is what the paper's cost comparison is about.
+and its first totient(p)-1 circular downshifts; its transform is solved by
+exact remainders modulo cyclotomic polynomials (_RptMatrix). The DFT is
+computed by FFT; the multiplication counts stay analytic counts of direct
+O(N^2) evaluation, which is what the paper's cost comparison is about.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,8 +23,6 @@ from .transform import (
     BasisBlock,
     NestedPeriodicMatrix,
     PeriodStrengthProfile,
-    _cho_factor,
-    _cho_solve,
     _shifted_tilings,
 )
 
@@ -61,26 +59,49 @@ def ramanujan_block(n: int, p: int) -> BasisBlock:
     return BasisBlock(length=n, period=p, labels=labels, table=table)
 
 
+def _cyclotomic_series(times, over, length: int) -> np.ndarray:
+    """prod (1 - z^d), d in times, over prod (1 - z^d), d in over, mod z^length; exact int64.
+
+    Each division is exact as a power series: a cumulative sum with stride d.
+    All products come first, so when the quotient is a polynomial every
+    partial result is one too, and its coefficients stay small.
+    """
+    series = np.zeros(length, dtype=np.int64)
+    series[0] = 1
+    for d in times:
+        series[d:] = series[d:] - series[:-d]
+    for d in over:
+        padded = np.concatenate([series, np.zeros(-length % d, dtype=np.int64)])
+        series = padded.reshape(-1, d).cumsum(axis=0).ravel()[:length]
+    return series
+
+
 class _RptMatrix(NestedPeriodicMatrix):
-    """The Ramanujan matrix, solved block by block on reduced Toeplitz cores.
+    """The Ramanujan matrix, solved block by block by exact cyclotomic remainders.
 
-    Column l of block p tiles c_p shifted by l, so W = fft(table_p)/p keeps
-    only the rows r coprime to p, W[r, l] = e^{-j2 pi r l / p}, and block p
-    alone meets the bins (N/p) r of X = fft(x)/N. With F_p = X[::N/p] zeroed
-    off those rows, block p solves T_p beta_p = W^H F_p = (p ifft(F_p))[:phi(p)]
-    for the Gram T_p = W^H W, T_p[l, l'] = c_p(l - l'). Three exact
-    reductions leave one core T_m per odd squarefree m:
+    Column l of block p tiles c_p shifted by l, so block p alone meets the
+    bins (N/p) r, gcd(r, p) = 1, of X = fft(x)/N, and there X[(N/p) r] =
+    beta_p(z_r), with beta_p the polynomial of the block's phi(p)
+    coefficients and z_r = e^{-j2 pi r/p} the roots of the cyclotomic
+    polynomial Phi_p. With F_p = X[::N/p] zeroed off those bins, h = ifft(F_p)
+    takes the same values there, and deg beta_p < phi(p) = deg Phi_p, so
+    beta_p = h mod Phi_p exactly. Three reductions leave one remainder modulo
+    Phi_m per odd squarefree m:
 
-    - p = s rad(p): c_p(d) = s c_rad(d / s) if s | d, else 0, so grouping l
-      by l mod s gives T_p = I_s (x) s T_rad(p), s right-hand sides of one solve;
-    - rad(p) = 2m with m odd: T_2m = D T_m D, D = diag((-1)^j);
-    - m prime: T_m = mI - J, so T_m^-1 = (I + J)/m, with eigenvalues 1 and m.
+    - p = s rad(p): Phi_p(z) = Phi_rad(z^s), so the s columns of h grouped by
+      l mod s are reduced one by one modulo Phi_rad;
+    - rad(p) = 2m with m odd: Phi_2m(w) = Phi_m(-w), and Phi_m divides w^m - 1;
+    - m prime: Phi_m = 1 + w + ... + w^{m-1}; m composite: the quotient's top
+      coefficients from the power series of 1/Phi_m, both convolutions by FFT.
 
-    A composite core is built from one lag vector, then factored (Cholesky)
-    and its extreme eigenvalues taken once per distinct m, on the first
-    condition() call; a core above MAX_BASIS_BYTES is refused first. The
-    singular values of the matrix are sqrt(N s lambda) over the blocks.
-    Blocks and labels are built only when read.
+    The singular values of the matrix are sqrt(N s lambda) over the blocks,
+    lambda at both ends of the spectrum of T_m[l, l'] = c_m(l - l'), l, l' <
+    phi(m): 1 and m for a prime core; for a composite one, from the leading
+    k x k Toeplitz of c_m, k = min(phi(m), m - phi(m)), since with W the
+    phi(m) x phi(m) block of the m-point DFT (rows coprime to m, columns
+    l < phi(m)) W W^H = m I - V V^H for V the other m - phi(m) columns. A
+    k x k matrix above MAX_BASIS_BYTES is refused before it is built. Blocks
+    and labels are built only when read.
     """
 
     def __init__(self, n: int):
@@ -103,8 +124,6 @@ class _RptMatrix(NestedPeriodicMatrix):
             widths.append(s * width)
         starts = list(accumulate(widths, initial=0))
         self.spans = {p: slice(a, z) for p, a, z in zip(periods, starts, starts[1:])}
-        self._factors = None
-        self._cond = None
 
     @cached_property
     def blocks(self) -> tuple[BasisBlock, ...]:
@@ -114,35 +133,43 @@ class _RptMatrix(NestedPeriodicMatrix):
     def labels(self) -> tuple[tuple, ...]:
         return tuple((p, None, l) for p, span in self.spans.items() for l in range(span.stop - span.start))
 
-    def _singular_values(self) -> np.ndarray:
-        """sqrt(N s lambda) at both ends of each block's core spectrum; factors the composite cores."""
-        for p, _, m, _, _ in self._plan:
-            odd, width = self._cores[m]
-            if len(odd) > 1 and width * width * 8 > MAX_BASIS_BYTES:
-                raise NumericalError(
-                    f"RPT block p={p} of N={self.n} reduces to a {width}x{width} Ramanujan-sum core "
-                    f"(r={m}, {width * width * 8 / 2**20:.1f} MiB); the cap is {MAX_BASIS_BYTES // 2**20} MiB"
-                )
-        factors, ends = {}, {}
+    @cached_property
+    def _remainders(self) -> dict[int, tuple[np.ndarray, np.ndarray, int]]:
+        """Per composite core m: Phi_m, 1/Phi_m mod z^(m - phi(m)), and an FFT length for both products."""
+        remainders = {}
         for m, (odd, width) in self._cores.items():
-            if len(odd) <= 1:
-                ends[m] = (1.0, float(max(m, 1)))
-                continue
-            lags = _ramanujan_sums(m, np.arange(width), *_totients_and_mobius(m)).astype(float)
-            # core[i, j] = lags[|i - j|], row i read from the palindrome lags[width-1..1, 0..width-1] at width - 1 - i
-            core = sliding_window_view(np.concatenate([lags[:0:-1], lags]), width)[::-1].copy()
-            eig = np.linalg.eigvalsh(core)
-            ends[m] = (eig[0], eig[-1])
-            try:
-                factors[m] = _cho_factor(core)
-            except np.linalg.LinAlgError:  # not numerically positive definite: the condition reads inf
-                ends[m] = (0.0, eig[-1])
-        self._factors = factors
+            if len(odd) > 1:
+                signs = {-1: [], 1: []}  # the divisors d of m by mu(m/d)
+                for size in range(len(odd) + 1):
+                    for subset in combinations(odd, size):
+                        signs[(-1) ** (len(odd) - size)].append(math.prod(subset))
+                cyclotomic = _cyclotomic_series(signs[1], signs[-1], width + 1)
+                inverse = _cyclotomic_series(signs[-1], [d for d in signs[1] if d < m], m - width)
+                remainders[m] = (cyclotomic, inverse, 1 << (max(m, 2 * (m - width) - 1) - 1).bit_length())
+        return remainders
+
+    def _singular_values(self) -> np.ndarray:
+        """sqrt(N s lambda) at both ends of each block's core spectrum."""
+        sizes = {m: min(width, m - width) for m, (odd, width) in self._cores.items() if len(odd) > 1}
+        for p, _, m, _, _ in self._plan:
+            k = sizes.get(m, 0)
+            if k * k * 8 > MAX_BASIS_BYTES:
+                raise NumericalError(
+                    f"RPT block p={p} of N={self.n} reduces to a {k}x{k} Ramanujan-sum core "
+                    f"(r={m}, {k * k * 8 / 2**20:.1f} MiB); the cap is {MAX_BASIS_BYTES // 2**20} MiB"
+                )
+        ends = {m: (1.0, float(m)) for m in self._cores}
+        phi, mu = _totients_and_mobius(max(sizes, default=1))
+        for m, k in sizes.items():
+            lags = _ramanujan_sums(m, np.arange(k), phi, mu).astype(float)
+            # core[i, j] = lags[|i - j|], row i read from the palindrome lags[k-1..1, 0..k-1] at k - 1 - i
+            eig = np.linalg.eigvalsh(sliding_window_view(np.concatenate([lags[:0:-1], lags]), k)[::-1])
+            ends[m] = (eig[0], eig[-1]) if k == self._cores[m][1] else (m - eig[-1], float(m))
         squares = np.array([s * e for _, s, m, _, _ in self._plan for e in ends[m]])
         return np.sqrt(self.n * np.clip(squares, 0.0, None))
 
     def _solve(self, spectrum: np.ndarray, complex_input: bool) -> np.ndarray:
-        """Each block's right-hand side W^H F_p from its bins, then its reduced solve.
+        """Each block's h = ifft(F_p) from its bins, then its remainder modulo Phi_p.
 
         For real x the spectrum is the half one, which holds bins 0..p/2 of F_p.
         """
@@ -151,23 +178,29 @@ class _RptMatrix(NestedPeriodicMatrix):
         for p, s, m, flip, primitive in self._plan:
             bins = spectrum[:: n // p]
             bins = bins * primitive[: len(bins)]
-            rhs = p * (np.fft.ifft(bins) if complex_input else np.fft.irfft(bins, p))
-            values.append(self._block_solve(rhs[: self.spans[p].stop - self.spans[p].start], s, m, flip))
+            h = np.fft.ifft(bins) if complex_input else np.fft.irfft(bins, p)
+            values.append(self._block_solve(h, s, m, flip))
         return np.concatenate(values) + 0j
 
-    def _block_solve(self, rhs: np.ndarray, s: int, m: int, flip: bool) -> np.ndarray:
-        """T_p^-1 rhs as s columns of one core solve, with D on both sides when rad(p) = 2m."""
-        b = rhs.reshape(-1, s) / s
+    def _block_solve(self, h: np.ndarray, s: int, m: int, flip: bool) -> np.ndarray:
+        """h mod Phi_p as s columns of one remainder modulo Phi_m, with w -> -w when rad(p) = 2m."""
+        rows = h.reshape(-1, s)
+        if flip:  # Phi_2m(w) = Phi_m(u), u = -w: the coefficients of u^i, folded mod u^m - 1 (m odd)
+            rows = rows[:m] - rows[m:]
+            rows[1::2] *= -1
+        if m in self._remainders:  # rows = q Phi_m + r, q reversed = (top rows reversed) (1/Phi_m) mod z^len(q)
+            cyclotomic, inverse, size = self._remainders[m]
+            width, top = len(cyclotomic) - 1, len(inverse)
+            fft, ifft = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(rows) else (np.fft.rfft, np.fft.irfft)
+            spectrum = fft(rows[: width - 1 : -1], size, axis=0) * fft(inverse, size)[:, None]
+            quotient = ifft(spectrum, size, axis=0)[top - 1 :: -1]
+            spectrum = fft(quotient, size, axis=0) * fft(cyclotomic, size)[:, None]
+            rows = rows[:width] - ifft(spectrum, size, axis=0)[:width]
+        elif m > 1:
+            rows = rows[:-1] - rows[-1]
         if flip:
-            b[1::2] *= -1
-        odd, _ = self._cores[m]
-        if len(odd) > 1:
-            b = _cho_solve(self._factors[m], b)
-        elif odd:
-            b = (b + b.sum(axis=0)) / m
-        if flip:
-            b[1::2] *= -1
-        return b.ravel()
+            rows[1::2] *= -1
+        return rows.ravel()
 
     def _synthesize(self, values: np.ndarray, complex_values: bool) -> np.ndarray:
         """X on each block's bins from one length-p FFT of its coefficients, then one inverse FFT."""
@@ -178,7 +211,6 @@ class _RptMatrix(NestedPeriodicMatrix):
         if not complex_values:
             return np.fft.irfft(spectrum[: n // 2 + 1], n) * n
         return np.fft.ifft(spectrum) * n
-
 
 def build_rpt_matrix(n: int) -> NestedPeriodicMatrix:
     """Ramanujan analogue of the cosine-pair synthesis matrix."""

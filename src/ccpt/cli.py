@@ -111,7 +111,8 @@ def _timed(fn, *args):
 def _transform(x, method: str):
     """Forward transform and divisor strengths: (values, profile, matrix or None for dft)."""
     if method == "dft":
-        spectrum = baselines.dft(x)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed spectrum fails the profile below
+            spectrum = baselines.dft(x)
         return spectrum, baselines.dft_divisor_strengths(spectrum), None
     build = transform.build_ccpt_matrix if method == "ccpt" else baselines.build_rpt_matrix
     matrix = build(len(x))

@@ -21,13 +21,13 @@ FLOAT_FMT = "%.17g"
 def read_signal(path) -> np.ndarray:
     """Load a CSV signal; returns float64 for 1 column, complex128 for 2.
 
-    Unreadable files, malformed rows and non-finite samples raise
+    Unreadable or non-UTF-8 files, malformed rows and non-finite samples raise
     SignalIoError naming the file and, for a row, its line number.
     """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError, which reads as usage
         raise SignalIoError(f"{path}: {exc}") from exc
     rows = [
         (lineno, line)

@@ -19,17 +19,16 @@ gcd(r, p) = 1, which no other block meets. Let X = fft(x)/N.
   bins of rfft(x), and its reconstruction check rebuilds only those bins
   for one irfft. The range scan (_truncation_profiles) applies the same
   pair formulas to many lengths at once, from one pair table.
-- RPT (baselines.build_rpt_matrix) is solved block by block: with W the
-  rows r of fft(table_p)/p, block p solves W beta_p = X[(N/p) r] through
-  the normal equations T_p beta_p = W^H X[(N/p) r], T_p[l, l'] =
-  c_p(l - l'), which reduce exactly to one small Ramanujan-sum Toeplitz
-  core per odd squarefree radical (see baselines._RptMatrix).
+- RPT (baselines.build_rpt_matrix) is solved block by block, exactly: the
+  bins (N/p) r of block p are the values of the polynomial beta_p of its
+  coefficients at the roots of the cyclotomic polynomial Phi_p, so beta_p
+  is the remainder modulo Phi_p of the inverse FFT of those bins (see
+  baselines._RptMatrix).
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -41,7 +40,7 @@ from .numtheory import _check_positive, coprime_half_set, lcm, totient
 DEFAULT_THRESHOLD = 0.05
 CONDITION_LIMIT = 1e12
 RESIDUAL_TOL = 1e-9
-MAX_BASIS_BYTES = 512 * 2**20  # largest dense float64 matrix `ccpt basis` or an RPT core may take
+MAX_BASIS_BYTES = 512 * 2**20  # largest dense float64 matrix `ccpt basis` or an RPT condition estimate may take
 
 
 @dataclass(frozen=True)
@@ -239,32 +238,19 @@ def _residual_error(residual: float) -> NumericalError:
 
 
 class NestedPeriodicMatrix:
-    """Square synthesis matrix assembled from per-period basis blocks.
+    """Square synthesis matrix laid out as one basis block per divisor of N.
 
-    This class holds the layout: spans, labels, column index, and the
-    dense matrix on request. The bases' subclasses solve it through three
+    The bases' subclasses set kind, n and spans (divisor p -> its columns),
+    build blocks and labels when read, and solve the matrix through three
     hooks: _singular_values (all singular values, or at least the extreme
     ones), _solve (coefficients from X = fft(x)/N, or rfft(x)/N for real x)
     and _synthesize (the matrix times coefficients, on the half spectrum when
-    they are real). condition() runs the first hook once, so a shared
-    instance can serve concurrent read-only transforms.
+    they are real). This class gives the column index, the dense matrix on
+    request, and condition, forward and inverse. condition() runs the first
+    hook once, so a shared instance can serve concurrent read-only transforms.
     """
 
-    def __init__(self, blocks: list[BasisBlock], kind: str = "ccpt"):
-        if not blocks:
-            raise ValueError("need at least one basis block")
-        n = blocks[0].length
-        if any(b.length != n for b in blocks):
-            raise ValueError("all blocks must share the ambient length")
-        self.kind = kind
-        self.n = n
-        self.blocks = tuple(sorted(blocks, key=lambda b: b.period))
-        starts = list(accumulate((b.width for b in self.blocks), initial=0))
-        if starts[-1] != n:
-            raise ValueError(f"blocks supply {starts[-1]} columns for length {n}; expected one block per divisor")
-        self.spans = {b.period: slice(a, z) for b, a, z in zip(self.blocks, starts, starts[1:])}
-        self.labels = tuple((b.period, k, l) for b in self.blocks for k, l in b.labels)
-        self._cond = None
+    _cond = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -398,7 +384,6 @@ class _CcptMatrix(NestedPeriodicMatrix):
         self._single_bins, self._pair_bins = m[:single], m[single:]
         self._half, self._cos, self._sin = _pair_angles(p[single:], k[single:])
         self._phase = self._cos - 1j * self._sin
-        self._cond = None
 
     @cached_property
     def blocks(self) -> tuple[BasisBlock, ...]:

@@ -131,26 +131,78 @@ def _reduction(p):
 
 
 def test_rpt_block_reductions_match_dense_toeplitz_solves():
-    # T_p[l, l'] = c_p(l - l'), l, l' < phi(p), solved densely for every block of every p <= 200
+    # block p's remainder h mod Phi_p, h = ifft(F_p) with F_p zero off the bins coprime to p, against
+    # the normal equations T_p beta = (p h)[:phi(p)], T_p[l, l'] = c_p(l - l'), solved densely for
+    # every block of every N <= 200
     rng = np.random.default_rng(200)
     seen = set()
     for n in range(1, 201):
         m = b.build_rpt_matrix(n)
-        m.condition()
-        periods = divisors(n)
-        rhs = [rng.standard_normal(totient(p)) + 1j * rng.standard_normal(totient(p)) for p in periods]
-        for part in (np.real, np.imag, lambda v: v):
-            for (p, s, core, flip, _), r in zip(m._plan, rhs):
-                beta = m._block_solve(part(r), s, core, flip)
-                c = b.ramanujan_sum(p).samples
-                lags = np.arange(totient(p))
-                dense = c[(lags[:, None] - lags) % p].astype(float)
-                expected = np.linalg.solve(dense, part(r))
+        for p, s, core, flip, primitive in m._plan:
+            h = np.fft.ifft((rng.standard_normal(p) + 1j * rng.standard_normal(p)) * primitive)
+            c = b.ramanujan_sum(p).samples
+            lags = np.arange(totient(p))
+            dense = c[(lags[:, None] - lags) % p].astype(float)
+            for part in (np.real, np.imag, lambda v: v):
+                beta = m._block_solve(part(h), s, core, flip)
+                expected = np.linalg.solve(dense, p * part(h)[: totient(p)])
                 assert np.linalg.norm(beta - expected) <= 1e-11 * np.linalg.norm(expected), (n, p)
-                seen.add(_reduction(p))
+            seen.add(_reduction(p))
     squared, even, cores = zip(*seen)
     assert {True, False} <= set(squared) and {True, False} <= set(even)
     assert set(cores) == {"one", "prime", "composite"}
+
+
+def test_rpt_condition_takes_the_smaller_side_of_each_core():
+    # W W^H = m I - V V^H: the ends of eig(T_phi) from the (m - phi)-wide Toeplitz when that is smaller
+    eps = np.finfo(float).eps
+    cores = [m for m in range(15, 200, 2) if mobius(m) and totient(m) < m - 1]
+    complement = []
+    for m in [*cores, 255, 385, 391, 1001, 1155]:
+        phi = totient(m)
+        low, high = b.build_rpt_matrix(m)._singular_values()[-2:] ** 2 / m  # block p = m, s = 1
+        c = b.ramanujan_sum(m).samples
+        lags = np.arange(phi)
+        full = np.linalg.eigvalsh(c[np.abs(lags[:, None] - lags)].astype(float))
+        assert abs(low - full[0]) <= 100 * m * eps, m
+        assert abs(high - full[-1]) <= 100 * m * eps, m
+        complement.append(2 * phi > m)
+    assert any(complement) and not all(complement)  # 391 and 1001 on one side, 105 and 1155 on the other
+
+
+def test_rpt_sweep_calls_no_cholesky(monkeypatch):
+    def never(*args):
+        pytest.fail("the RPT transform factored a matrix")
+
+    monkeypatch.setattr(np.linalg, "cholesky", never)
+    rng = np.random.default_rng(210)
+    for n in [*range(1, 211), 1155, 9240]:  # composite cores from 15 on
+        m = b.build_rpt_matrix(n)
+        for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            assert np.linalg.norm(m.inverse(m.forward(x)) - x) <= 1e-12 * np.linalg.norm(x), n
+
+
+def test_rpt_length_8383_solves_on_the_narrow_side_of_its_core(monkeypatch):
+    # 8383 = 83 x 101: its core would be 8200 wide (513 MiB), its complement is 183 wide
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a):
+        sizes.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    x = np.random.default_rng(8383).standard_normal(8383)
+    tracemalloc.start()
+    try:
+        m = b.build_rpt_matrix(8383)
+        beta = m.forward(x).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [183]
+    assert peak < 8 * 2**20  # one 8200 x 8200 float64 matrix is 513 MiB
+    assert np.linalg.norm(m.inverse(beta) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_rpt_transform_needs_no_block_tables(monkeypatch):

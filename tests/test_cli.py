@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,30 @@ def test_dict_overflow_inside_the_solve_exits_4(tmp_path, capsys, basis):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [("analyze", "--method", "dft"), ("compare",)])
+def test_dft_overflow_prints_only_the_error_line(tmp_path, capsys, argv):
+    # the FFT itself overflows; the strength profile refuses its result, so no fft warning may print
+    huge = tmp_path / "huge.csv"
+    huge.write_text("1e308\n-1e308\n1e308\n-1e308\n1e308\n1e308\n")
+    out = tmp_path / "r.json"
+    assert run(argv[0], huge, *argv[1:], "-o", out) == 4
+    assert capsys.readouterr().err == "error: period strengths overflow float64 (total inf)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("analyze",), ("scan", "--n1", 1), ("dict",), ("compare",)])
+def test_non_utf8_file_is_io_error_naming_it(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe1\n")
+    out = tmp_path / "r.json"
+    assert run(argv[0], bad, *argv[1:], "-o", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv", [("analyze",), ("analyze", "--method", "rpt"), ("scan", "--n1", 95), ("dict",), ("compare",)]
 )
@@ -444,6 +469,15 @@ def test_rpt_core_above_the_cap_exits_4(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: RPT block p=105 of N=210 reduces to a 48x48 Ramanujan-sum core")
     assert err.count("\n") == 1
     assert not (tmp_path / "r.json").exists()
+
+
+def test_rpt_analyze_of_length_8383_runs_in_under_a_second(tmp_path):
+    # 8383 = 83 x 101: its core would be 8200 wide, its complement is 183 wide
+    signal = tmp_path / "r.csv"
+    assert run("gen", "--tiled-ccps", "7,1", "--len", 8383, "-o", signal) == 0
+    start = time.perf_counter()
+    assert run("analyze", signal, "--method", "rpt", "-o", tmp_path / "r.json") == 0
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -382,11 +383,15 @@ def test_pair_table_matches_blocks():
     # the closed-form CCPT layout against the one assembled from basis_block, and its matrix
     for n in [*range(1, 257), 2520]:
         m = t.build_ccpt_matrix(n)
-        assembled = t.NestedPeriodicMatrix([t.basis_block(n, p) for p in divisors(n)])
-        assert m.labels == assembled.labels, n
-        assert m.spans == assembled.spans, n
-        assert m.divisors == assembled.divisors == divisors(n), n
-        assert all(m.column_index(*lab) == i for i, lab in enumerate(assembled.labels)), n
+        blocks = [t.basis_block(n, p) for p in divisors(n)]
+        labels = tuple((blk.period, k, l) for blk in blocks for k, l in blk.labels)
+        starts = list(accumulate((blk.width for blk in blocks), initial=0))
+        assert starts[-1] == n, n
+        spans = {blk.period: slice(a, z) for blk, a, z in zip(blocks, starts, starts[1:])}
+        assert m.labels == labels, n
+        assert m.spans == spans, n
+        assert m.divisors == tuple(spans) == divisors(n), n
+        assert all(m.column_index(*lab) == i for i, lab in enumerate(labels)), n
         literal = np.hstack([basis_oracle.block("ccpt", n, p)[1] for p in divisors(n)])
         assert np.array_equal(m.matrix, literal), n
 
