@@ -159,9 +159,9 @@ class _RptMatrix(NestedPeriodicMatrix):
                     f"(r={m}, {k * k * 8 / 2**20:.1f} MiB); the cap is {MAX_BASIS_BYTES // 2**20} MiB"
                 )
         ends = {m: (1.0, float(m)) for m in self._cores}
-        phi, mu = _totients_and_mobius(max(sizes, default=1))
         for m, k in sizes.items():
-            lags = _ramanujan_sums(m, np.arange(k), phi, mu).astype(float)
+            # c_m(l) = prod over the primes q of the squarefree m of (q - 1 if q | l else -1)
+            lags = math.prod(np.where(np.arange(k) % q == 0, q - 1.0, -1.0) for q in self._cores[m][0])
             # core[i, j] = lags[|i - j|], row i read from the palindrome lags[k-1..1, 0..k-1] at k - 1 - i
             eig = np.linalg.eigvalsh(sliding_window_view(np.concatenate([lags[:0:-1], lags]), k)[::-1])
             ends[m] = (eig[0], eig[-1]) if k == self._cores[m][1] else (m - eig[-1], float(m))

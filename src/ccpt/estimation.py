@@ -15,9 +15,10 @@ D_ii = f(p_i) (default p^2), and fits exactly:
     b = D^-2 A^H (A D^-2 A^H)^-1 x
 
 A is never formed. The N x N system G = A D^-2 A^H has a closed form in
-Ramanujan sums c_p, and A^H y and A b go through per-period folds of the
-signal and one length-p FFT per period (see _DictionaryOperator). G is
-factored once by Cholesky, never inverted.
+Ramanujan sums c_p, and A^H y and A b go through folds of the signal and
+one length-q FFT per carrier q in (p_max/2, p_max], whose spectrum holds
+that of every period dividing q (see _DictionaryOperator). G is factored
+once by Cholesky, never inverted.
 """
 
 import warnings
@@ -122,8 +123,9 @@ class DictionaryModel:
     """Column layout of the fat matrix [R_1 ... R_pmax] with per-column period penalties.
 
     Block p holds totient(p) columns penalized by f(p), and the solve weighs
-    it by weights[p - 1] = f(p)^-2. The N x n_hat matrix and the column labels
-    are built only when read; no solve forms them.
+    it by weights[p - 1] = f(p)^-2. phi and mu hold phi(0..p_max) and
+    mu(0..p_max) from the layout's one sieve. The N x n_hat matrix and the
+    column labels are built only when read; no solve forms them.
     """
 
     n: int
@@ -133,6 +135,8 @@ class DictionaryModel:
     penalties: np.ndarray
     weights: np.ndarray
     spans: dict[int, slice] = field(repr=False)
+    phi: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
 
     @property
     def n_hat(self) -> int:
@@ -150,10 +154,8 @@ class DictionaryModel:
         return self.block_labels(range(1, self.p_max + 1))
 
     def block_labels(self, periods) -> tuple[tuple, ...]:
-        """The labels of the blocks of the given ascending periods only, in column order."""
-        periods = np.asarray(periods, dtype=int)
-        top = int(periods.max(initial=1))
-        p, k, l = _columns(self.basis, periods, _totients_and_mobius(top)[0])
+        """The labels of the blocks of the given ascending periods <= p_max only, in column order."""
+        p, k, l = _columns(self.basis, np.asarray(periods, dtype=int), self.phi)
         ks = [None] * len(p) if self.basis == "rpt" else k.tolist()
         return tuple(zip(p.tolist(), ks, l.tolist()))
 
@@ -167,6 +169,11 @@ def _farey_columns(n: int, p: int) -> tuple[tuple, np.ndarray]:
 _BLOCK_BUILDERS = {"ccpt": _ccpt_columns, "farey": _farey_columns, "rpt": _rpt_columns}
 
 
+def _within(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _columns(basis: str, periods: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Period p, index k and shift l of every column of the given periods' blocks (k = 0 for rpt).
 
@@ -175,8 +182,7 @@ def _columns(basis: str, periods: np.ndarray, phi: np.ndarray) -> tuple[np.ndarr
     and ccpt the pairs k = j + 1 coprime to p with 2k <= max(p, 2), each
     with the shifts 0 and 1 when p >= 3. phi must cover the largest period.
     """
-    p = np.repeat(periods, periods)
-    j = np.arange(len(p)) - np.repeat(np.cumsum(periods) - periods, periods)
+    p, j = np.repeat(periods, periods), _within(periods)
     if basis == "farey":
         keep = np.gcd(j, p) == 1
         return p[keep], j[keep], np.zeros(int(keep.sum()), dtype=int)
@@ -187,7 +193,7 @@ def _columns(basis: str, periods: np.ndarray, phi: np.ndarray) -> tuple[np.ndarr
     keep = (np.gcd(k, p) == 1) & (2 * k <= np.maximum(p, 2))
     width = np.where(p[keep] >= 3, 2, 1)
     p, k = np.repeat(p[keep], width), np.repeat(k[keep], width)
-    return p, k, np.arange(len(p)) - np.repeat(np.cumsum(width) - width, width)
+    return p, k, _within(width)
 
 
 def build_dictionary(
@@ -213,7 +219,8 @@ def build_dictionary(
     if penalty is None:
         penalty = lambda p: float(p * p)
     periods = range(1, p_max + 1)
-    widths = _totients_and_mobius(p_max)[0][1:]
+    phi, mu = _totients_and_mobius(p_max)
+    widths = phi[1:]
     starts = np.concatenate([[0], np.cumsum(widths)]).tolist()
     if starts[-1] < n:
         warnings.warn(
@@ -236,6 +243,7 @@ def build_dictionary(
         penalties=np.repeat(penalties, widths),
         weights=weights,
         spans={p: slice(a, b) for p, a, b in zip(periods, starts, starts[1:])},
+        phi=phi, mu=mu,
     )
 
 
@@ -258,31 +266,34 @@ class _DictionaryOperator:
     """A^H y, A b and G = A D^-2 A^H of one dictionary, none of them through A.
 
     Every column of block p is p-periodic, so A^H y reads y only through
-    its folds fold_p[r] = sum of y[i] over i = r (mod p), all p = 1..p_max
-    of them from one bincount. The columns then read the folds through a
-    sparse table of entries (column, slot, coefficient):
+    folds fold_q[r] = sum of y[i] over i = r (mod q), all from one bincount.
+    The columns then read the folds through a sparse table of entries
+    (column, slot, coefficient):
 
-    - farey and ccpt: the slots are bins of F_p, one length-p FFT of each
-      fold. Column (p, k) of farey reads F_p[k]; column (p, k, l) of ccpt
-      reads M (e^{j theta l} F_p[k] + e^{-j theta l} F_p[-k]), theta = 2 pi k / p
+    - farey and ccpt: the slots are bins of F_q, one length-q FFT of each
+      carrier fold, q in (p_max/2, p_max]. p divides the carrier
+      q = p (floor(p_max / 2p) + 1) and F_p[k] = F_q[kq/p], so column (p, k)
+      of farey reads F_p[k] and column (p, k, l) of ccpt reads
+      M (e^{j theta l} F_p[k] + e^{-j theta l} F_p[-k]), theta = 2 pi k / p
       and M = 1/2 for p <= 2, else 1.
     - rpt: c_p(i) = sum over d | p of mu(p/d) d [d | i], so column (p, l)
       reads mu(p/d) d fold_d[l mod d] for each such d, with no FFT.
 
-    Synthesis runs the same table backwards: scatter, a length-p inverse
-    FFT for the spectral bases, then one gather-sum over all periods. G is
-    real for every basis and comes from Ramanujan sums c_p (see `gram`).
+    Synthesis runs the same table backwards: scatter, a length-q inverse
+    FFT per carrier for the spectral bases, then one gather-sum over all
+    folds. G is real for every basis and comes from Ramanujan sums c_p (see
+    `gram`).
     """
 
     def __init__(self, model: DictionaryModel):
-        n, p_max, basis = model.n, model.p_max, model.basis
+        n, p_max, basis, phi, mu = model.n, model.p_max, model.basis, model.phi, model.mu
         periods = np.arange(1, p_max + 1)
-        phi, mu = _totients_and_mobius(p_max)
-        starts = periods * (periods - 1) // 2  # period p's fold and spectrum begin at starts[p - 1]
-        self.model, self.phi, self.mu, self.periods = model, phi, mu, periods
-        self.size = int(starts[-1] + p_max)
-        self.bounds = list(zip(starts.tolist(), (starts + periods).tolist()))
-        self.rows = starts[:, None] + np.arange(n) % periods[:, None]
+        folds = periods if basis == "rpt" else periods[p_max // 2 :]
+        starts = np.cumsum(folds) - folds  # the fold of folds[i] and its spectrum begin at starts[i]
+        self.model, self.periods = model, periods
+        self.size = int(starts[-1] + folds[-1])
+        self.bounds = list(zip(starts.tolist(), (starts + folds).tolist()))
+        self.rows = starts[:, None] + np.arange(n) % folds[:, None]
         self.spectral = basis != "rpt"
         self.real = basis != "farey"
         if basis == "rpt":
@@ -292,19 +303,21 @@ class _DictionaryOperator:
             keep = mu[p // d] != 0
             reps = phi[p[keep]]
             p, d = np.repeat(p[keep], reps), np.repeat(d[keep], reps)
-            l = np.arange(len(p)) - np.repeat(np.cumsum(reps) - reps, reps)
+            l = _within(reps)
             self.cols = np.cumsum(phi)[p - 1] + l  # block p starts at phi(1) + ... + phi(p - 1)
             self.slots = starts[d - 1] + l % d
             self.coef = mu[p // d] * d
             return
         p, k, l = _columns(basis, periods, phi)
+        step = p_max // (2 * p) + 1  # bin k of F_p is bin k * step of its carrier p * step
+        start = starts[p * step - folds[0]]
         cols = np.arange(len(p))
         if basis == "farey":
-            self.cols, self.slots, self.coef = cols, starts[p - 1] + k, np.ones(len(p))
+            self.cols, self.slots, self.coef = cols, start + k * step, np.ones(len(p))
             return
         phase = np.exp(2j * np.pi * k * l / p) * np.where(p <= 2, 0.5, 1.0)
         self.cols = np.concatenate([cols, cols])
-        self.slots = np.concatenate([starts[p - 1] + k % p, starts[p - 1] + (p - k) % p])
+        self.slots = np.concatenate([start + k % p * step, start + (p - k) % p * step])
         self.coef = np.concatenate([phase, phase.conj()])
 
     def _per_period(self, values: np.ndarray, transform) -> np.ndarray:
@@ -319,7 +332,7 @@ class _DictionaryOperator:
         return out.real if self.real and not np.iscomplexobj(y) else out
 
     def synthesize(self, b: np.ndarray) -> np.ndarray:
-        """A b: the adjoint's table transposed, then every period tiled and summed."""
+        """A b: the adjoint's table transposed, then every fold tiled and summed."""
         slots = _scatter(self.slots, self.coef.conj() * b[self.cols], self.size)
         if self.spectral:
             slots = self._per_period(slots, lambda s: np.fft.ifft(s, norm="forward"))
@@ -332,35 +345,49 @@ class _DictionaryOperator:
         - farey: the Toeplitz matrix sum_p w_p c_p(m - n).
         - ccpt: Toeplitz plus Hankel, sum_p w_p c_p(m - n) for p <= 2 and
           sum_p w_p [2 c_p(m - n) + c_p(m + n) + c_p(m + n - 2)] for p >= 3.
+          Both read lag vectors of `_lag_sums`.
         - rpt: from the displacement G[m+1, n+1] = G[m, n] + sum_p w_p
           [c_p(m+1) c_p(n+1) - c_p(m+1-phi(p)) c_p(n+1-phi(p))], started from
-          the row G[0, :] = A (D^-2 a_0), where a_0 is row 0 of A.
+          the row G[0, :] = A (D^-2 a_0), where a_0 is row 0 of A, with every
+          c_p read from one table of c_p(0..p-1) laid out as the folds.
         """
         model, periods, w = self.model, self.periods, self.model.weights
-        n = model.n
+        n, phi = model.n, model.phi
         if model.basis == "rpt":
-            p, _, l = _columns("rpt", periods, self.phi)
-            first = self.synthesize(w[p - 1] * self._sums(p, l))
-            lags = np.arange(1, n)[:, None]
-            u = self._sums(periods, lags).astype(float)
-            v = self._sums(periods, lags - self.phi[periods]).astype(float)
-            gram = np.empty((n, n))
-            gram[0], gram[:, 0] = first, first
-            gram[1:, 1:] = (u * w) @ u.T - (v * w) @ v.T
-            for m in range(1, n):  # add the displacements down each diagonal
-                gram[m, 1:] += gram[m - 1, :-1]
-            return (gram + gram.T) / 2.0
-        sums = self._sums(periods[:, None], np.arange(-2, 2 * n - 1))  # lags -2 .. 2n - 2
+            p, j = np.repeat(periods, periods), _within(periods)
+            table = _ramanujan_sums(p, j, phi, model.mu).astype(float)  # c_p(j) at the fold slot of (p, j)
+            first = self.synthesize((w[p - 1] * table)[j < phi[p]])  # the columns (p, l < phi(p))
+            u = table[self.rows[:, 1:].T] * np.sqrt(w)
+            v = table[self.rows[:, 0] + (np.arange(1, n)[:, None] - phi[periods]) % periods] * np.sqrt(w)
+            # upper[m, k] = G[m, m + k]: the upper diagonals are the columns of a buffer padded
+            # by n entries, so one cumsum adds the displacements down each of them
+            buffer = np.zeros(n * n + n)
+            gram = buffer[: n * n].reshape(n, n)
+            gram[0], gram[1:, 1:] = first, u @ u.T - v @ v.T  # x @ x.T takes BLAS's symmetric product
+            upper = np.lib.stride_tricks.as_strided(buffer, (n, n), (8 * n + 8, 8))
+            np.cumsum(upper, axis=0, out=upper)
+            lower = np.tri(n, k=-1, dtype=bool)
+            gram[lower] = gram.T[lower]  # the cumsum ran past each diagonal into the lower triangle
+            return gram
         index = np.arange(n)
         if model.basis == "farey":
-            return (w @ sums[:, 2 : n + 2])[abs(index[:, None] - index)]
-        pairs = periods >= 3
-        toeplitz = (w * np.where(pairs, 2.0, 1.0)) @ sums[:, 2 : n + 2]
-        hankel = (w * pairs) @ (sums[:, 2:] + sums[:, :-2])
-        return toeplitz[abs(index[:, None] - index)] + hankel[index[:, None] + index]
+            return self._lag_sums(w, n)[abs(index[:, None] - index)]
+        pairs = w * (periods >= 3)
+        lags = self._lag_sums(pairs, 2 * n + 1)  # c_p(-2) = c_p(2): the Hankel reads lags 0..2n
+        hankel = lags[: 2 * n - 1] + lags[abs(np.arange(-2, 2 * n - 3))]
+        return self._lag_sums(w + pairs, n)[abs(index[:, None] - index)] + hankel[index[:, None] + index]
 
-    def _sums(self, p, d) -> np.ndarray:
-        return _ramanujan_sums(p, d, self.phi, self.mu)
+    def _lag_sums(self, weights: np.ndarray, size: int) -> np.ndarray:
+        """L(d) = sum_p weights[p - 1] c_p(d), d = 0..size-1, by c_p(d) = sum over e | (p, d) of mu(p/e) e.
+
+        L(d) sums h(e) = e sum_{m <= p_max/e} mu(m) weights[em - 1] over the e <= p_max dividing d.
+        """
+        periods, p_max = self.periods, self.model.p_max
+        e, m = np.repeat(periods, p_max // periods), _within(p_max // periods) + 1
+        h = np.bincount(e - 1, e * self.model.mu[m] * weights[e * m - 1], p_max)
+        counts = (size - 1) // periods + 1  # the multiples 0, e, 2e, ... below size
+        e = np.repeat(periods, counts)
+        return np.bincount(e * _within(counts), h[e - 1], size)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Each column generator yields ((k, shift), column) for one period p at
 length n, built by rolling one period of the sequence and tiling it with
 np.tile, the last repetition truncated. The package's vectorised builders
 must reproduce these columns bit for bit. `dft` and `idft` are the direct
-O(N^2) sums the FFT baseline must match to rounding.
+O(N^2) sums the FFT baseline must match to rounding. `dictionary_gram`
+builds a dictionary's Gram from a full table of Ramanujan sums, at sizes
+where the dense dictionary is too large to form.
 """
 
 from math import gcd
@@ -13,7 +15,8 @@ import numpy as np
 
 from ccpt.baselines import ramanujan_sum
 from ccpt.ccps import ccps
-from ccpt.numtheory import coprime_half_set, totient
+from ccpt.estimation import _columns
+from ccpt.numtheory import _ramanujan_sums, _totients_and_mobius, coprime_half_set, totient
 
 
 def tile(one_period, length):
@@ -63,3 +66,43 @@ def idft(spectrum):
     n = len(spectrum)
     grid = np.outer(np.arange(n), np.arange(n))
     return np.exp(2j * np.pi * grid / n) @ spectrum / n
+
+
+def dictionary_gram(operator):
+    """G = A D^-2 A^H of the operator's dictionary from a p_max x 2N table of c_p over the lags -2..2N-2.
+
+    - farey: the Toeplitz matrix sum_p w_p c_p(m - n).
+    - ccpt: Toeplitz plus Hankel, sum_p w_p c_p(m - n) for p <= 2 and
+      sum_p w_p [2 c_p(m - n) + c_p(m + n) + c_p(m + n - 2)] for p >= 3.
+    - rpt: from the displacement G[m+1, n+1] = G[m, n] + sum_p w_p
+      [c_p(m+1) c_p(n+1) - c_p(m+1-phi(p)) c_p(n+1-phi(p))], one row at a
+      time, started from the row G[0, :] = A (D^-2 a_0) through the
+      operator's synthesis, where a_0 is row 0 of A.
+    """
+    model = operator.model
+    n, w, periods = model.n, model.weights, np.arange(1, model.p_max + 1)
+    phi, mu = _totients_and_mobius(model.p_max)
+
+    def sums(p, d):
+        return _ramanujan_sums(p, d, phi, mu)
+
+    if model.basis == "rpt":
+        p, _, l = _columns("rpt", periods, phi)
+        first = operator.synthesize(w[p - 1] * sums(p, l))
+        lags = np.arange(1, n)[:, None]
+        u = sums(periods, lags).astype(float)
+        v = sums(periods, lags - phi[periods]).astype(float)
+        gram = np.empty((n, n))
+        gram[0], gram[:, 0] = first, first
+        gram[1:, 1:] = (u * w) @ u.T - (v * w) @ v.T
+        for m in range(1, n):  # add the displacements down each diagonal
+            gram[m, 1:] += gram[m - 1, :-1]
+        return (gram + gram.T) / 2.0
+    table = sums(periods[:, None], np.arange(-2, 2 * n - 1))  # lags -2 .. 2n - 2
+    index = np.arange(n)
+    if model.basis == "farey":
+        return (w @ table[:, 2 : n + 2])[abs(index[:, None] - index)]
+    pairs = periods >= 3
+    toeplitz = (w * np.where(pairs, 2.0, 1.0)) @ table[:, 2 : n + 2]
+    hankel = (w * pairs) @ (table[:, 2:] + table[:, :-2])
+    return toeplitz[abs(index[:, None] - index)] + hankel[index[:, None] + index]

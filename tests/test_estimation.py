@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
+from ccpt import cli, sigio
 from ccpt import estimation as e
 from ccpt import transform as t
 from ccpt.errors import NumericalError
@@ -509,6 +510,79 @@ def test_matrix_free_solve_matches_the_dense_dictionary(n, extra, basis, complex
         err = np.linalg.norm(sol.coefficients - best) / np.linalg.norm(best)
         assert err <= 1e-12 + 1e-15 * sol.condition, (err, sol.condition)
         assert np.iscomplexobj(sol.coefficients) == (complex_input or basis == "farey")
+
+
+@pytest.mark.parametrize("n", [400, 800])
+@pytest.mark.parametrize("basis", BASES)
+def test_gram_matches_the_ramanujan_table_at_large_n(n, basis):
+    operator = e._DictionaryOperator(e.build_dictionary(n, e.default_p_max(n), basis=basis))
+    oracle = basis_oracle.dictionary_gram(operator)
+    assert np.abs(operator.gram() - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize(
+    ("n", "p_max"), [(1, 1), (1, 2), (1, 3), (1, 12), (2, 1), (2, 3), (7, 1), (7, 2), (7, 3)]
+)
+@pytest.mark.parametrize("basis", BASES)
+def test_matrix_free_solve_at_the_smallest_lengths_and_periods(n, p_max, basis):
+    rng = np.random.default_rng(n * 100 + p_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an underdetermined dictionary warns
+        model = e.build_dictionary(n, p_max, basis=basis)
+    a, weights = model.matrix, model.penalties**-2.0
+    operator = e._DictionaryOperator(model)
+    dense = (a * weights) @ a.conj().T
+    assert np.abs(operator.gram() - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.abs(basis_oracle.dictionary_gram(operator) - dense).max() <= 1e-12 * np.abs(dense).max()
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(model.n_hat) + 1j * rng.standard_normal(model.n_hat)
+    assert np.abs(operator.adjoint(y) - a.conj().T @ y).max() <= 1e-12 * np.abs(a.conj().T @ y).max()
+    assert np.abs(operator.synthesize(b) - a @ b).max() <= 1e-12 * np.abs(a @ b).max()
+    sol = e.dictionary_solve(model, y)
+    assert sol.residual < 1e-10 or sol.ridge > 0.0
+
+
+@pytest.mark.parametrize("basis", ["farey", "ccpt"])
+def test_spectral_passes_transform_only_the_carrier_periods(basis, monkeypatch):
+    calls = []
+    fft_module = dict(vars(np.fft))
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fft_module[name](*args, **kwargs)
+
+        return call
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    rng = np.random.default_rng(27)
+    for n, p_max in [(1, 1), (1, 2), (1, 3), (7, 3), (100, 80), (100, 79), (64, 200)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            operator = e._DictionaryOperator(e.build_dictionary(n, p_max, basis=basis))
+        carriers = p_max - p_max // 2  # the periods in (p_max/2, p_max]
+        calls.clear()
+        operator.adjoint(rng.standard_normal(n))
+        assert calls == ["fft"] * carriers
+        calls.clear()
+        operator.synthesize(rng.standard_normal(operator.model.n_hat))
+        assert calls == ["ifft"] * carriers
+
+
+def test_dictionary_fit_sieves_once(tmp_path, monkeypatch):
+    calls, sieve = [], e._totients_and_mobius
+
+    def counted(n):
+        calls.append(n)
+        return sieve(n)
+
+    monkeypatch.setattr(e, "_totients_and_mobius", counted)
+    sigio.write_signal(tmp_path / "x.csv", gen_y2(0))
+    for basis in BASES:
+        calls.clear()
+        assert cli.main(["dict", str(tmp_path / "x.csv"), "--basis", basis, "-o", str(tmp_path / "d.json")]) == 0
+        assert calls == [e.default_p_max(100)]
 
 
 @pytest.mark.parametrize("basis", BASES)
