@@ -16,7 +16,6 @@ from .numtheory import (
     divisors,
     gcd,
     lcm,
-    period_partition,
     totient,
 )
 from .ccps import (

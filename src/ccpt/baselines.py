@@ -124,6 +124,7 @@ class _RptMatrix(NestedPeriodicMatrix):
             widths.append(s * width)
         starts = list(accumulate(widths, initial=0))
         self.spans = {p: slice(a, z) for p, a, z in zip(periods, starts, starts[1:])}
+        self._block_starts = np.array(starts[:-1])
 
     @cached_property
     def blocks(self) -> tuple[BasisBlock, ...]:

@@ -229,7 +229,7 @@ def cmd_analyze(args) -> int:
 def cmd_scan(args) -> int:
     threshold = _threshold(args)
     x = _read_input(args)
-    result, elapsed = _timed(estimation.range_scan, x, args.n1, threshold, args.jobs)
+    result, elapsed = _timed(estimation.range_scan, x, args.n1, threshold)
     doc = {
         "schema": SCHEMA,
         "report": "scan",

@@ -3,7 +3,7 @@
 The scan projects truncations x[0:Ni] onto every divisor subspace of each
 Ni in [N1, N]; only divisor periods of some Ni are visible. The lengths
 are solved in chunks, each by one batched closed-form CCPT pass over one
-pair table, and every length keeps its own checks and its own profile: the
+pair table, and every length keeps its own residual check and profile: the
 subspace of period p is projected once for every Ni that p divides, and
 the per-period visit counts record that overlap.
 
@@ -72,15 +72,14 @@ class ScanResult:
         raise KeyError(f"no scan record for length {length}")
 
 
-def range_scan(x, n1: int, threshold: float = DEFAULT_THRESHOLD, jobs: int = 1) -> ScanResult:
+def range_scan(x, n1: int, threshold: float = DEFAULT_THRESHOLD) -> ScanResult:
     """Divisor-strength profiles of x[0:Ni] for every Ni in [n1, len(x)].
 
     Consecutive lengths are solved together in chunks of at most
     _SCAN_CHUNK_SAMPLES summed samples (a longer length alone), each by
-    one batched closed-form CCPT solve that checks every length's condition
-    and residual as forward does. Every length gets its own profile, and
-    the result reports how often each period's subspace was visited.
-    `jobs` is ignored: the scan runs in one thread.
+    one batched closed-form CCPT solve that checks every length's residual
+    as forward does. Every length gets its own profile, and the result
+    reports how often each period's subspace was visited.
     """
     x = np.asarray(x)
     n = len(x)

@@ -120,19 +120,6 @@ def coprime_half_set(n: int) -> CoprimeHalfSet:
     return CoprimeHalfSet(n=n, residues=residues)
 
 
-def period_partition(n: int) -> dict[int, frozenset[int]]:
-    """Group DFT bin indices 0..n-1 by the exact period of their exponential.
-
-    Bin k has period d = n / gcd(k, n); the returned cells partition
-    {0, ..., n-1} and the cell for d has exactly totient(d) members.
-    """
-    n = _check_positive(n)
-    cells: dict[int, set[int]] = {d: set() for d in divisors(n)}
-    for k in range(n):
-        cells[n // math.gcd(k, n)].add(k)
-    return {d: frozenset(ks) for d, ks in cells.items()}
-
-
 def _totients_and_mobius(n: int) -> tuple[np.ndarray, np.ndarray]:
     """phi(0..n) and mu(0..n) as int64 arrays from one sieve over the primes <= n.
 

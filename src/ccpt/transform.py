@@ -17,8 +17,9 @@ gcd(r, p) = 1, which no other block meets. Let X = fft(x)/N.
   sqrt(N) for p <= 2 and sqrt(2N(1 -+ cos theta)) for p >= 3. A real x has
   a Hermitian X and real alpha, beta: its transform reads only the N/2 + 1
   bins of rfft(x), and its reconstruction check rebuilds only those bins
-  for one irfft. The range scan (_truncation_profiles) applies the same
-  pair formulas to many lengths at once, from one pair table.
+  for one irfft. One pair layout (_PairLayout) holds this map: the matrix
+  is its one-length case, and the range scan (_truncation_profiles) runs
+  the same solve and synthesis over many lengths at once.
 - RPT (baselines.build_rpt_matrix) is solved block by block, exactly: the
   bins (N/p) r of block p are the values of the polynomial beta_p of its
   coefficients at the roots of the cyclotomic polynomial Phi_p, so beta_p
@@ -135,13 +136,6 @@ class CoefficientVector:
     def block(self, p: int) -> np.ndarray:
         return self.values[self.spans[p]]
 
-    def block_energy(self, p: int) -> float:
-        b = self.block(p)
-        return float(np.real(b @ b.conj()))
-
-    def energy(self) -> float:
-        return float(np.real(self.values @ self.values.conj()))
-
 
 def _relative_residual(approx, x) -> float:
     """||approx - x|| / ||x|| on both scaled by the power of two nearest 1 / max|x|.
@@ -227,12 +221,6 @@ def _cho_solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.nda
     return y
 
 
-def _condition_error(n: int, cond: float) -> NumericalError:
-    return NumericalError(
-        f"synthesis matrix for N={n} too ill-conditioned to invert (condition estimate {cond:.3e})"
-    )
-
-
 def _residual_error(residual: float) -> NumericalError:
     return NumericalError(f"forward solve residual {residual:.3e} exceeds {RESIDUAL_TOL}")
 
@@ -240,8 +228,9 @@ def _residual_error(residual: float) -> NumericalError:
 class NestedPeriodicMatrix:
     """Square synthesis matrix laid out as one basis block per divisor of N.
 
-    The bases' subclasses set kind, n and spans (divisor p -> its columns),
-    build blocks and labels when read, and solve the matrix through three
+    The bases' subclasses set kind, n, spans (divisor p -> its columns) and
+    _block_starts (each block's first column, in divisor order), build
+    blocks and labels when read, and solve the matrix through three
     hooks: _singular_values (all singular values, or at least the extreme
     ones), _solve (coefficients from X = fft(x)/N, or rfft(x)/N for real x)
     and _synthesize (the matrix times coefficients, on the half spectrum when
@@ -260,11 +249,6 @@ class NestedPeriodicMatrix:
     @cached_property
     def divisors(self) -> tuple[int, ...]:
         return tuple(self.spans)
-
-    @cached_property
-    def _block_starts(self) -> np.ndarray:
-        """Each block's first column, in divisor order."""
-        return np.array([span.start for span in self.spans.values()])
 
     @cached_property
     def index(self) -> dict[tuple, int]:
@@ -295,7 +279,9 @@ class NestedPeriodicMatrix:
             raise ValueError(f"signal length {x.shape} does not match matrix size {self.n}")
         cond = self.condition()
         if not cond <= CONDITION_LIMIT:  # nan and inf included
-            raise _condition_error(self.n, cond)
+            raise NumericalError(
+                f"synthesis matrix for N={self.n} too ill-conditioned to invert (condition estimate {cond:.3e})"
+            )
         complex_input = np.iscomplexobj(x)
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite values fail the check below
             spectrum = np.fft.fft(x) if complex_input else np.fft.rfft(x)
@@ -315,11 +301,12 @@ class NestedPeriodicMatrix:
 
 
 def _pair_table(lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One row per conjugate pair of every given length, sorted by (length, p, k).
+    """One row per conjugate pair of every given length: first the rows with p <= 2, then the others.
 
     Length N = lengths[i] has a row for each DFT bin m = 0..N/2: with
     g = gcd(m, N), its period is p = N/g and its index k = m/g, except
-    k = 1 for bin 0 (the period-1 pair). Returns i, p, k and m per row.
+    k = 1 for bin 0 (the period-1 pair). Each of the two runs is sorted by
+    (length, p, k). Returns i, p, k and m per row.
     """
     lengths = np.asarray(lengths)
     counts = lengths // 2 + 1
@@ -329,61 +316,80 @@ def _pair_table(lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     g = np.gcd(m, n)
     p, k = n // g, np.maximum(m // g, 1)
     room = (lengths + 1) ** 2  # a length's rows sort by p (N + 1) + k < (N + 1)^2
-    order = np.argsort(np.repeat(np.cumsum(room) - room, counts) + p * (n + 1) + k)
+    key = np.repeat(np.cumsum(room) - room, counts) + p * (n + 1) + k
+    order = np.argsort(key + (p >= 3) * room.sum())  # the pair rows after every length's p <= 2 rows
     return which[order], p[order], k[order], m[order]
 
 
-def _pair_angles(p, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """theta / 2 = pi k / p of each pair, then cos theta and sin theta."""
-    half = np.pi * k / p
-    return half, np.cos(2 * half), np.sin(2 * half)
+class _PairLayout:
+    """The closed-form CCPT solve and synthesis of one or more lengths, over one pair table.
 
-
-def _pair_solve(xm, xn, cos, sin) -> tuple[np.ndarray, np.ndarray]:
-    """alpha, beta of each pair from X[m] and X[N - m]; xn None takes the real form for real x."""
-    if xn is None:
-        beta = -xm.imag / sin
-        return xm.real - beta * cos, beta
-    beta = (xn - xm) / (2j * sin)
-    return xm - beta * (cos - 1j * sin), beta
-
-
-def _pair_spectrum(alpha, beta, phase) -> np.ndarray:
-    """Each pair's bin X[m] = alpha + beta phase for phase = e^{-j theta}; its conjugate gives X[N - m]."""
-    return alpha + beta * phase
-
-
-def _pair_singular_values(half) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs' singular values over sqrt(N): 2 sin(theta / 2) and 2 cos(theta / 2)."""
-    return 2 * np.sin(half), 2 * np.cos(half)
-
-
-class _CcptMatrix(NestedPeriodicMatrix):
-    """The cosine-pair matrix, solved in closed form from its pair table.
-
-    The table (_pair_table) has one row per conjugate pair: period p, index
-    k, DFT bin m = kN/p for m = 0..N/2, sorted by (p, k). The rows with
-    p <= 2 come first and own one column each; then each row with p >= 3
-    owns the columns (k, 0) and (k, 1), alpha and beta, so the alphas sit
-    at every other column from the first pair's on. Blocks and labels are
-    built only when read.
+    Each _pair_table row is the pair (p, k) of its length N on the DFT bins
+    m = kN/p and N - m. The rows with p <= 2 come first and own one
+    coefficient each; then each row with p >= 3 owns two side by side,
+    alpha and beta, so the alphas sit at every other coefficient from the
+    first pair's on. For one length this is the column order of its matrix.
+    Length i's bins start at bin_starts[i] in the spectra that _solve reads
+    and _spectrum writes: N bins per length for complex x, the half
+    spectrum of N/2 + 1 for real x. _block_starts holds the first
+    coefficient of every block, one per (length, p), in row order.
     """
+
+    def __init__(self, lengths, bin_starts):
+        lengths = np.asarray(lengths)
+        which, p, k, m = _pair_table(lengths)
+        pos = np.take(bin_starts, which) + m  # each row's bin m
+        single = int(np.count_nonzero(p <= 2))
+        opens = np.flatnonzero(k == 1)  # a block's rows run by k from k = 1
+        self._block_starts = opens + np.maximum(opens - single, 0)  # a pair row before a row adds a column
+        self._block_lengths, self._block_periods = which[opens], p[opens]
+        self._periods, self._ks = p, k
+        self._single_bins, self._pair_bins = pos[:single], pos[single:]
+        self._mirror_bins = pos[single:] + (lengths[which] - 2 * m)[single:]  # each pair's bin N - m
+        self._half = np.pi * k[single:] / p[single:]  # theta / 2
+        self._cos, self._sin = np.cos(2 * self._half), np.sin(2 * self._half)
+        self._phase = self._cos - 1j * self._sin  # e^{-j theta}
+
+    def _solve(self, spectrum: np.ndarray, complex_input: bool) -> np.ndarray:
+        """alpha, beta of every pair from X[m] and X[N-m]; the real form, from X[m] alone, for real x."""
+        single = len(self._single_bins)
+        values = np.empty(single + 2 * len(self._pair_bins), dtype=complex)
+        xm = spectrum[self._pair_bins]
+        if complex_input:
+            values[:single] = spectrum[self._single_bins]
+            beta = (spectrum[self._mirror_bins] - xm) / (2j * self._sin)
+            values[single::2] = xm - beta * self._phase
+        else:
+            values[:single] = spectrum[self._single_bins].real
+            beta = -xm.imag / self._sin
+            values[single::2] = xm.real - beta * self._cos
+        values[single + 1 :: 2] = beta
+        return values
+
+    def _spectrum(self, values: np.ndarray, complex_values: bool, size: int) -> np.ndarray:
+        """The size bins that the coefficients synthesize: X[m] = alpha + beta e^{-j theta}, and its conjugate form at N - m for complex ones."""
+        single = len(self._single_bins)
+        if not complex_values:
+            values = values.real
+        alpha, beta = values[single::2], values[single + 1 :: 2]
+        spectrum = np.empty(size, dtype=complex)  # the rows fill every bin
+        spectrum[self._single_bins] = values[:single]
+        spectrum[self._pair_bins] = alpha + beta * self._phase
+        if complex_values:
+            spectrum[self._mirror_bins] = alpha + beta * self._phase.conj()
+        return spectrum
+
+
+class _CcptMatrix(_PairLayout, NestedPeriodicMatrix):
+    """The cosine-pair matrix: the pair layout of its one length. Blocks and labels are built only when read."""
 
     def __init__(self, n: int):
         n = _check_positive(n)
-        _, p, k, m = _pair_table([n])
-        width = np.where(p >= 3, 2, 1)
-        offset = np.cumsum(width) - width
-        starts = np.flatnonzero(np.diff(p)) + 1  # the rows that open periods after p = 1
-        bounds = [0, *offset[starts].tolist(), n]
-        single = int(np.count_nonzero(p <= 2))
+        super().__init__([n], [0])
+        bounds = [*self._block_starts.tolist(), n]
         self.kind = "ccpt"
         self.n = n
-        self.spans = {q: slice(a, z) for q, a, z in zip([1, *p[starts].tolist()], bounds, bounds[1:])}
-        self._periods, self._ks = p, k
-        self._single_bins, self._pair_bins = m[:single], m[single:]
-        self._half, self._cos, self._sin = _pair_angles(p[single:], k[single:])
-        self._phase = self._cos - 1j * self._sin
+        self.spans = {p: slice(a, z) for p, a, z in zip(self._block_periods.tolist(), bounds, bounds[1:])}
 
     @cached_property
     def blocks(self) -> tuple[BasisBlock, ...]:
@@ -395,32 +401,15 @@ class _CcptMatrix(NestedPeriodicMatrix):
         return tuple((p, k, l) for p, k in rows for l in ((0,) if p <= 2 else (0, 1)))
 
     def _singular_values(self) -> np.ndarray:
-        """sqrt(N) per single column, and the pairs' closed forms times sqrt(N)."""
+        """sqrt(N) per single column, and sqrt(N) times 2 sin(theta / 2) and 2 cos(theta / 2) per pair."""
         single = np.ones(len(self._single_bins))
-        return np.sqrt(self.n) * np.concatenate([single, *_pair_singular_values(self._half)])
-
-    def _solve(self, spectrum: np.ndarray, complex_input: bool) -> np.ndarray:
-        """alpha, beta of every pair from X[m] and X[N-m]; the real form, from X[m] alone, for real x."""
-        single = len(self._single_bins)
-        values = np.empty(self.n, dtype=complex)
-        xn = spectrum[self.n - self._pair_bins] if complex_input else None
-        values[:single] = spectrum[self._single_bins] if complex_input else spectrum[self._single_bins].real
-        values[single::2], values[single + 1 :: 2] = _pair_solve(spectrum[self._pair_bins], xn, self._cos, self._sin)
-        return values
+        return np.sqrt(self.n) * np.concatenate([single, 2 * np.sin(self._half), 2 * np.cos(self._half)])
 
     def _synthesize(self, values: np.ndarray, complex_values: bool) -> np.ndarray:
         """X from the coefficients, then one inverse FFT: the real one, on bins 0..N/2, for real ones."""
-        n, single = self.n, len(self._single_bins)
-        if not complex_values:
-            values = values.real
-        alpha, beta = values[single::2], values[single + 1 :: 2]
-        spectrum = np.empty(n if complex_values else n // 2 + 1, dtype=complex)  # the pairs fill every bin
-        spectrum[self._single_bins] = values[:single]
-        spectrum[self._pair_bins] = _pair_spectrum(alpha, beta, self._phase)
-        if not complex_values:
-            return np.fft.irfft(spectrum, n, norm="forward")
-        spectrum[n - self._pair_bins] = _pair_spectrum(alpha, beta, self._phase.conj())
-        return np.fft.ifft(spectrum, norm="forward")
+        if complex_values:
+            return np.fft.ifft(self._spectrum(values, True, self.n), norm="forward")
+        return np.fft.irfft(self._spectrum(values, False, self.n // 2 + 1), self.n, norm="forward")
 
 
 def build_ccpt_matrix(n: int) -> NestedPeriodicMatrix:
@@ -440,72 +429,42 @@ def divisor_strengths(beta: CoefficientVector, matrix: NestedPeriodicMatrix) -> 
 def _truncation_profiles(x: np.ndarray, lengths: range) -> list[PeriodStrengthProfile]:
     """Divisor strengths of x[:Ni] for every Ni in lengths, as build_ccpt_matrix(Ni) finds them.
 
-    One pair table covers all the lengths, every pair is solved at once,
+    One _PairLayout covers all the lengths and solves every pair at once,
     and one reduceat sums every block; only the FFT of each truncation and
-    the inverse FFT of its reconstruction run per length. Each length is
-    checked as forward checks it: the closed-form condition, then the
-    residual of its reconstruction against x[:Ni], both scaled by the
-    power of two nearest 1 / max|x[:Ni]|. The first length that fails
-    raises NumericalError naming it, as does one whose strengths overflow.
-    Memory grows with the sum of lengths.
+    the inverse FFT of its reconstruction run per length. Each length keeps
+    forward's residual check: its reconstruction against x[:Ni], both
+    scaled by the power of two nearest 1 / max|x[:Ni]|. Its condition needs
+    no check: it is at most 1/sin(pi/2N), far below CONDITION_LIMIT for
+    every N up to MAX_N. The first length that fails raises NumericalError
+    naming it, as does one whose strengths overflow. Memory grows with the
+    sum of lengths.
     """
     complex_input = np.iscomplexobj(x)
     sizes = np.asarray(lengths)
     starts = np.cumsum(sizes) - sizes  # each truncation's first sample among the concatenated ones
     bins = sizes if complex_input else sizes // 2 + 1  # the full spectrum, or the half of real x
     bin_starts = np.cumsum(bins) - bins
-    row_starts = np.cumsum(sizes // 2 + 1) - (sizes // 2 + 1)
     cuts = list(zip(lengths, starts.tolist(), bin_starts.tolist(), (bin_starts + bins).tolist()))
-    which, p, k, m = _pair_table(sizes)
-    n = sizes[which]
-    pos = bin_starts[which] + m
-    pair = p >= 3
-    width = np.where(pair, 2, 1)
-    column = np.cumsum(width) - width  # each row's first coefficient; a pair's beta is the next
-    half, cos, sin = _pair_angles(p[pair], k[pair])
-    phase = cos - 1j * sin
-    fft = np.fft.fft if complex_input else np.fft.rfft  # the bins forward solves from
+    layout = _PairLayout(sizes, bin_starts)
+    fft, inverse = (np.fft.fft, np.fft.ifft) if complex_input else (np.fft.rfft, np.fft.irfft)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # non-finite values fail below
         spectrum = np.empty(int(bins.sum()), dtype=complex)
         for ni, _, a, z in cuts:
             spectrum[a:z] = fft(x[:ni])
-        xm = spectrum[pos] / n
-        coef, xn = xm.real, None
-        if complex_input:
-            mirror = (pos + n - 2 * m)[pair]  # bin N - m of each pair
-            coef, xn = xm, spectrum[mirror] / n[pair]
-        alpha, beta = _pair_solve(xm[pair], xn, cos, sin)
-        synthesis = np.zeros_like(spectrum)
-        synthesis[pos] = coef
-        synthesis[pos[pair]] = _pair_spectrum(alpha, beta, phase)
-        if complex_input:
-            synthesis[mirror] = _pair_spectrum(alpha, beta, phase.conj())
-        approx = np.empty(int(sizes.sum()), dtype=synthesis.dtype if complex_input else float)
-        inverse = np.fft.ifft if complex_input else np.fft.irfft
+        values = layout._solve(spectrum / np.repeat(sizes, bins), complex_input)
+        synthesis = layout._spectrum(values, complex_input, len(spectrum))
+        approx = np.empty(int(sizes.sum()), dtype=complex if complex_input else float)
         for ni, s, a, z in cuts:
             approx[s : s + ni] = inverse(synthesis[a:z], ni, norm="forward")
-        residual = _truncation_residuals(approx, x, sizes, starts)
-        sv_sin, sv_cos = _pair_singular_values(half)
-        high, low = np.ones(len(p)), np.ones(len(p))
-        high[pair], low[pair] = np.maximum(sv_sin, sv_cos), np.minimum(sv_sin, sv_cos)
-        cond = np.maximum.reduceat(high, row_starts) / np.minimum.reduceat(low, row_starts)
-
-        # the coefficients in column order, so each block sums as divisor_strengths sums it
-        values = np.empty(len(approx), dtype=complex)
-        values[column] = coef
-        values[column[pair]], values[column[pair] + 1] = alpha, beta
-        opens = np.flatnonzero((np.diff(p, prepend=0) != 0) | (np.diff(which, prepend=-1) != 0))
-        strengths = np.add.reduceat(values.real**2 + values.imag**2, column[opens])
-        periods = p[opens].tolist()
-        firsts = [*np.searchsorted(opens, row_starts).tolist(), len(opens)]
-        passed = ((cond <= CONDITION_LIMIT) & (residual <= RESIDUAL_TOL)).tolist()
+        residual = _truncation_residuals(approx, x, sizes, starts).tolist()
+        strengths = np.add.reduceat(values.real**2 + values.imag**2, layout._block_starts)
+        order = np.argsort(layout._block_lengths, kind="stable")  # each length's blocks, in divisor order
+        strengths, periods = strengths[order], layout._block_periods[order].tolist()
+        firsts = np.searchsorted(layout._block_lengths[order], np.arange(len(sizes) + 1)).tolist()
         profiles = []
         for i, ni in enumerate(lengths):
-            if not passed[i]:
-                fault = _condition_error(ni, cond[i])
-                if cond[i] <= CONDITION_LIMIT:
-                    fault = _residual_error(residual[i])
-                raise NumericalError(f"truncation length {ni}: {fault}")
+            if not residual[i] <= RESIDUAL_TOL:
+                raise NumericalError(f"truncation length {ni}: {_residual_error(residual[i])}")
             a, z = firsts[i], firsts[i + 1]
             try:
                 profile = PeriodStrengthProfile(tuple(periods[a:z]), strengths[a:z], float(strengths[a:z].sum()))

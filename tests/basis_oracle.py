@@ -6,7 +6,8 @@ np.tile, the last repetition truncated. The package's vectorised builders
 must reproduce these columns bit for bit. `dft` and `idft` are the direct
 O(N^2) sums the FFT baseline must match to rounding. `dictionary_gram`
 builds a dictionary's Gram from a full table of Ramanujan sums, at sizes
-where the dense dictionary is too large to form.
+where the dense dictionary is too large to form. `period_partition` groups
+the DFT bins by exact period, one gcd at a time.
 """
 
 from math import gcd
@@ -16,7 +17,19 @@ import numpy as np
 from ccpt.baselines import ramanujan_sum
 from ccpt.ccps import ccps
 from ccpt.estimation import _columns
-from ccpt.numtheory import _ramanujan_sums, _totients_and_mobius, coprime_half_set, totient
+from ccpt.numtheory import _ramanujan_sums, _totients_and_mobius, coprime_half_set, divisors, totient
+
+
+def period_partition(n):
+    """Group DFT bin indices 0..n-1 by the exact period of their exponential.
+
+    Bin k has period d = n / gcd(k, n); the returned cells partition
+    {0, ..., n-1} and the cell for d has exactly totient(d) members.
+    """
+    cells = {d: set() for d in divisors(n)}
+    for k in range(n):
+        cells[n // gcd(k, n)].add(k)
+    return {d: frozenset(ks) for d, ks in cells.items()}
 
 
 def tile(one_period, length):

@@ -7,7 +7,7 @@ import pytest
 from ccpt import baselines as b
 from ccpt import transform as t
 from ccpt.errors import NumericalError
-from ccpt.numtheory import divisors, period_partition, totient
+from ccpt.numtheory import divisors, totient
 from ccpt.signalgen import gen_y1
 
 import basis_oracle
@@ -317,7 +317,7 @@ def test_dft_divisor_strengths_are_partition_cell_sums():
     for n in range(1, 257):
         spectrum = b.dft(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         prof = b.dft_divisor_strengths(spectrum)
-        cells = period_partition(n)
+        cells = basis_oracle.period_partition(n)
         assert prof.periods == divisors(n)
         expected = [np.sum(np.abs(spectrum[sorted(cells[d])]) ** 2) for d in prof.periods]
         assert np.allclose(prof.strengths, expected, rtol=1e-13, atol=0), n

@@ -279,7 +279,7 @@ def test_divisor_strengths_examples():
     prof = t.divisor_strengths(beta, m)
     d = prof.as_dict()
     assert d[9] / prof.total > 1 - 1e-12
-    assert prof.total == pytest.approx(beta.energy())
+    assert prof.total == pytest.approx(np.real(beta.values @ beta.values.conj()))
 
     beta1 = m.forward(gen_y1())
     prof1 = t.divisor_strengths(beta1, m)
@@ -302,7 +302,7 @@ def test_strengths_sum_to_coefficient_energy():
     m = t.build_ccpt_matrix(60)
     beta = m.forward(rng.standard_normal(60) + 1j * rng.standard_normal(60))
     prof = t.divisor_strengths(beta, m)
-    assert prof.total == pytest.approx(beta.energy(), rel=1e-12)
+    assert prof.total == pytest.approx(np.real(beta.values @ beta.values.conj()), rel=1e-12)
     assert np.all(prof.strengths >= 0)
 
 
@@ -360,6 +360,38 @@ def test_block_solve_matches_literal_matrix(n, kind, complex_input, seed):
     if not complex_input:
         assert not beta.imag.any()
     assert m.condition() == pytest.approx(np.linalg.cond(literal), rel=1e-8)
+
+
+def _assert_blocks_project_alike(x):
+    # block p alone synthesizes the component of x on the DFT bins of exact period p, in either basis
+    n = len(x)
+    spectrum = np.fft.fft(x)
+    bin_periods = n // np.gcd(np.arange(n), n)
+    tol = 1e-12 * np.linalg.norm(x)
+    for m in (t.build_ccpt_matrix(n), build_rpt_matrix(n)):
+        values = m.forward(x).values
+        for p, span in m.spans.items():
+            alone = np.zeros_like(values)
+            alone[span] = values[span]
+            want = np.fft.ifft(np.where(bin_periods == p, spectrum, 0.0))
+            assert np.linalg.norm(m.inverse(alone) - want) <= tol, (m.kind, n, p)
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("n", [360, 720, 2187, 2310, 8383, 9240, 1 << 16])
+def test_block_components_agree_across_bases_and_the_dft(n, complex_input):
+    # beyond the sizes the dense literal-matrix oracle reaches
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_input else 0.0)
+    _assert_blocks_project_alike(x)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 1000), complex_input=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_components_agree_across_bases_and_the_dft_up_to_1000(n, complex_input, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_input else 0.0)
+    _assert_blocks_project_alike(x)
 
 
 @pytest.mark.filterwarnings("error")
